@@ -6,7 +6,6 @@ of certified totally positive Grassmannian points are produced.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 import scipy.optimize
@@ -44,24 +43,18 @@ def make_zdata(Z, k, tol=1e-9):
         raise LinalgError("make_zdata: Z must have at most as many rows as columns")
     if linalg.rank_of(R) < r:
         raise LinalgError("make_zdata: Z must have full row rank")
-    first = None
-    for J in combinations(range(1, n + 1), r):
-        val = linalg.minor(R, tuple(range(1, r + 1)), J).real
-        sub = R[:, [j - 1 for j in J]]
-        s = float(np.prod(np.linalg.norm(sub, axis=1))) or 1.0
-        if abs(val) > tol * s:
-            first = val
-            break
-    if first is None:
+    top, cols = (tuple(range(1, r + 1)),), linalg.index_sets(n, r)
+    vals, s = linalg.minors(R.astype(complex), top, cols)
+    nonzero = np.abs(vals.real[0]) > tol * s[0]
+    if not nonzero.any():
         raise LinalgError("make_zdata: all top-order minors vanish")
-    if first < 0:
+    if vals.real[0, int(np.argmax(nonzero))] < 0:
         R[0, :] = -R[0, :]
-    for J in combinations(range(1, n + 1), r):
-        val = linalg.minor(R, tuple(range(1, r + 1)), J).real
-        sub = R[:, [j - 1 for j in J]]
-        s = float(np.prod(np.linalg.norm(sub, axis=1))) or 1.0
-        if val <= tol * s:
-            raise CertificationError(f"make_zdata: top-order minor on columns {J} is not positive")
+        vals, s = linalg.minors(R.astype(complex), top, cols)
+    low = vals.real[0] <= tol * s[0]
+    if low.any():
+        raise CertificationError(
+            f"make_zdata: top-order minor on columns {cols[int(np.argmax(low))]} is not positive")
     ortho = float(np.abs(R @ R.T - np.eye(r)).max()) <= 1e-10
     return ZData(n, k, r - k, R, ortho)
 

@@ -362,6 +362,8 @@ def main(argv=None, out=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "samples", 1) < 1:
+            raise LinalgError(f"field 'samples' must be >= 1, got {args.samples}")
         return args.func(args, out)
     except (LinalgError, DomainError, CertificationError, DriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)

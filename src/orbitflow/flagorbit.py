@@ -95,8 +95,9 @@ def canonical_tnn_rep(A, chart_atol=CHART_ATOL):
 
     Column phases are first normalized (largest-modulus entry positive real);
     a residual imaginary part means the flag has no real representative.
-    Column signs are then fixed sequentially by the minor-sum rule; a sum at
-    zero means the flag lies outside the chart, and the map is undefined.
+    Column signs are then fixed sequentially by the minor-sum rule, the minors
+    of each order in one batch; a sum at zero means the flag lies outside the
+    chart, and the map is undefined.
     """
     g = linalg.square(A).copy()
     n = g.shape[0]
@@ -110,7 +111,7 @@ def canonical_tnn_rep(A, chart_atol=CHART_ATOL):
         raise DomainError("canonical_tnn_rep: flag admits no real orthogonal representative")
     gr = np.linalg.qr(g.real)[0]
     for k in range(1, n + 1):
-        s = sum(linalg.left_minor(gr, I).real for I in linalg.index_sets(n, k))
+        s = sum(linalg.left_minors(gr, linalg.index_sets(n, k))[0].real.tolist())
         if abs(s) <= chart_atol:
             raise DomainError("canonical_tnn_rep: flag lies outside the totally nonnegative chart")
         if s < 0:
@@ -123,11 +124,11 @@ def pluecker(V, k):
     largest-modulus coordinate is positive real."""
     if k not in V.K:
         raise DomainError(f"pluecker: order {k} not in the flag dimension set {V.K}")
-    items = {I: linalg.left_minor(V.rep, I) for I in linalg.index_sets(V.n, k)}
-    vals = np.array(list(items.values()))
+    rows = linalg.index_sets(V.n, k)
+    vals = linalg.left_minors(V.rep, rows)[0]
     ph = vals[int(np.argmax(np.abs(vals)))]
     ph = ph / abs(ph)
-    return {I: complex(v / ph) for I, v in items.items()}
+    return dict(zip(rows, (vals / ph).tolist()))
 
 
 def flag_to_orbit(V, lam):
@@ -189,7 +190,8 @@ def projection_minor_closed_form(V, I, J):
     if len(I) != len(J):
         raise LinalgError("projection_minor_closed_form: |I| must equal |J|")
     l = len(I)
-    denom = sum(abs(linalg.left_minor(A, Kset)) ** 2 for Kset in linalg.index_sets(n, k))
+    D = dict(zip(linalg.index_sets(n, k), linalg.left_minors(A, linalg.index_sets(n, k))[0].tolist()))
+    denom = sum(abs(d) ** 2 for d in D.values())
     if l > k:
         return 0.0 + 0.0j
     used = set(I) | set(J)
@@ -197,8 +199,8 @@ def projection_minor_closed_form(V, I, J):
     num = 0.0 + 0.0j
     for Kset in combinations(rest, k - l):
         sgn = (-1) ** (linalg.inv_count(I, Kset) + linalg.inv_count(J, Kset))
-        dI = linalg.left_minor(A, tuple(sorted(set(I) | set(Kset))))
-        dJ = linalg.left_minor(A, tuple(sorted(set(J) | set(Kset))))
+        dI = D[tuple(sorted(set(I) | set(Kset)))]
+        dJ = D[tuple(sorted(set(J) | set(Kset)))]
         num += sgn * dI * np.conj(dJ)
     return complex(num / denom)
 
@@ -335,10 +337,6 @@ def locate_cell(V, tol=linalg.RANK_RTOL):
     if not perms.bruhat_leq(v, w):
         raise DomainError("locate_cell: labels violate Bruhat comparability")
     return CellLabel(v, w)
-
-
-def signed_perm(w):
-    return perms.signed_perm(w)
 
 
 def certify_flag_tnn(V, tol=1e-9):

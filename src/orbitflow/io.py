@@ -26,8 +26,13 @@ def matrix_from_json(obj):
     for field in ("rows", "cols", "data"):
         if not isinstance(obj, dict) or field not in obj:
             raise LinalgError(f"matrix JSON missing field {field!r}")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    try:
+        rows, cols = int(obj["rows"]), int(obj["cols"])
+    except (TypeError, ValueError) as exc:
+        raise LinalgError(f"matrix JSON fields 'rows' and 'cols' must be integers: {exc}")
     data = obj["data"]
+    if min(rows, cols) < 0 or not isinstance(data, list):
+        raise LinalgError("matrix JSON needs 'rows' and 'cols' >= 0 and a list in 'data'")
     if len(data) != rows * cols:
         raise LinalgError(f"matrix JSON field 'data' has {len(data)} entries, expected {rows * cols}")
     try:
@@ -45,8 +50,11 @@ def flag_from_json(obj):
     for field in ("n", "K", "rep"):
         if not isinstance(obj, dict) or field not in obj:
             raise LinalgError(f"flag JSON missing field {field!r}")
-    rep = matrix_from_json(obj["rep"])
-    return flagorbit.flag_from_matrix(rep, K=obj["K"])
+    try:
+        K = [int(k) for k in obj["K"]]
+    except (TypeError, ValueError) as exc:
+        raise LinalgError(f"flag JSON field 'K' must be a list of integers: {exc}")
+    return flagorbit.flag_from_matrix(matrix_from_json(obj["rep"]), K=K)
 
 
 def orbit_to_json(P):

@@ -45,7 +45,7 @@ def index_set(I, n):
 
 def index_sets(n, k):
     """All k-element subsets of [n] as increasing 1-based tuples."""
-    return combinations(range(1, n + 1), k)
+    return tuple(combinations(range(1, n + 1), k))
 
 
 def sum_of(I):
@@ -57,21 +57,50 @@ def inv_count(I, J):
     return sum(1 for i in I for j in J if i > j)
 
 
+def _mul(a, b):
+    """Elementwise product; complex ones unfused, as a scalar multiply rounds."""
+    if not np.iscomplexobj(a):
+        return a * b
+    out = np.array(a.real * b.real - a.imag * b.imag, dtype=complex)
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+_DROP = {2: np.array([[1], [0]]), 3: np.array([[1, 2], [0, 2], [0, 1]])}   # all columns but j
+
+
+def _dets(S):
+    """Determinants of a (..., k, k) stack in its dtype: for 1 <= k <= 3 the closed
+    forms (first-row Laplace, terms added left to right), else LU with pivoting."""
+    k = S.shape[-1]
+    if k == 0 or k > 3:
+        return np.linalg.det(S)
+    if k == 1:
+        return S[..., 0, 0]
+    t = _mul(S[..., 0, :], _dets(S[..., 1:, _DROP[k]].swapaxes(-2, -3)))
+    d = t[..., 0] - t[..., 1]
+    return d + t[..., 2] if k == 3 else d
+
+
 def _det(A):
-    n = A.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    if n == 1:
-        return complex(A[0, 0])
-    if n == 2:
-        return complex(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
-    if n == 3:
-        return complex(
-            A[0, 0] * (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
-            - A[0, 1] * (A[1, 0] * A[2, 2] - A[1, 2] * A[2, 0])
-            + A[0, 2] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0])
-        )
-    return complex(np.linalg.det(A))   # LU with partial pivoting
+    return complex(_dets(A))
+
+
+def minors(M, rows, cols):
+    """Every minor of M on rows x cols, two families of 1-based index sets of
+    one order k, from one (len(rows), len(cols), k, k) stack of submatrices.
+    Returns (minors, scale) of that shape in the dtype of M; scale is the
+    product of each submatrix's row norms, or 1 where that is 0."""
+    S = np.asarray(M)[np.subtract(rows, 1)[:, None, :, None], np.subtract(cols, 1)[None, :, None, :]]
+    s = np.linalg.norm(S, axis=-1).prod(axis=-1)
+    return _dets(S), np.where(s > 0.0, s, 1.0)
+
+
+def left_minors(M, rows):
+    """minors of one family of row sets on the first columns, 1-d, on complex
+    entries like left_minor."""
+    vals, scale = minors(as_matrix(M), rows, (tuple(range(1, len(rows[0]) + 1)),))
+    return vals[:, 0], scale[:, 0]
 
 
 def minor(M, rows, cols):
@@ -81,8 +110,7 @@ def minor(M, rows, cols):
     J = index_set(cols, A.shape[1])
     if len(I) != len(J):
         raise LinalgError(f"minor needs |I| = |J|, got {len(I)} and {len(J)}")
-    sub = A[np.ix_([i - 1 for i in I], [j - 1 for j in J])]
-    return _det(sub)
+    return _det(A[np.ix_([i - 1 for i in I], [j - 1 for j in J])])
 
 
 def left_minor(M, rows):

@@ -51,17 +51,37 @@ def _require_real(A, tol, scale, what):
     return A.real
 
 
-def _row_norm_scale(sub):
-    norms = np.linalg.norm(sub, axis=1)
-    s = float(np.prod(norms))
-    return s if s > 0.0 else 1.0
+def _verdict(batches, tol, note=None, nonreal_note=None, allow_positive=True):
+    """Verdict from batches (rows, cols, minors, scale) of one order each. The
+    witness is the first smallest minor / scale (never NaN), as a sequential
+    `<` scan finds it; a minor with |imag| > tol * scale is outside at once."""
+    worst, worst_w = np.inf, None
+    for rows, cols, vals, scale in batches:
+        nonreal = np.abs(vals.imag) > tol * scale
+        if nonreal.any():
+            a, b = divmod(int(np.argmax(nonreal)), len(cols))
+            return Verdict(OUTSIDE, Witness(rows[a], cols[b], float(vals[a, b].imag)), tol,
+                           note=nonreal_note)
+        rel = vals.real / scale
+        i = int(np.argmin(np.fmin(rel, np.inf)))
+        if rel.flat[i] < worst:
+            a, b = divmod(i, len(cols))
+            worst, worst_w = rel.flat[i], Witness(rows[a], cols[b], float(vals[a, b].real))
+    if allow_positive and worst > tol:
+        return Verdict(POSITIVE, None, tol, note=note)
+    return Verdict(NONNEGATIVE if worst > -tol else OUTSIDE, worst_w, tol, note=note)
+
+
+def _left_sets(n, k):
+    """All order-k row sets, and the first k columns as a family of one."""
+    return linalg.index_sets(n, k), (tuple(range(1, k + 1)),)
 
 
 def is_tp_matrix(M, tol=1e-9):
     """Certify a real square matrix as totally positive / nonnegative.
 
-    Each minor is compared against tol scaled by the product of the row norms
-    of its submatrix. Exhaustive minor enumeration, so n <= 8.
+    Each minor, computed in one batch with all minors of its order, is compared
+    against tol times the product of the row norms of its submatrix; n <= 8.
     """
     A = linalg.square(M)
     n = A.shape[0]
@@ -69,22 +89,8 @@ def is_tp_matrix(M, tol=1e-9):
         raise LinalgError(f"is_tp_matrix: exhaustive minor test capped at n = {MAX_EXHAUSTIVE_N}")
     scale0 = max(1.0, float(np.abs(A).max()))
     R = _require_real(A, tol, scale0, "is_tp_matrix")
-    worst = np.inf
-    worst_w = None
-    for k in range(1, n + 1):
-        for I in linalg.index_sets(n, k):
-            for J in linalg.index_sets(n, k):
-                sub = R[np.ix_([i - 1 for i in I], [j - 1 for j in J])]
-                val = linalg._det(sub).real
-                rel = val / _row_norm_scale(sub)
-                if rel < worst:
-                    worst = rel
-                    worst_w = Witness(I, J, float(val))
-    if worst > tol:
-        return Verdict(POSITIVE, None, tol)
-    if worst > -tol:
-        return Verdict(NONNEGATIVE, worst_w, tol)
-    return Verdict(OUTSIDE, worst_w, tol)
+    sets = [linalg.index_sets(n, k) for k in range(1, n + 1)]
+    return _verdict(((S, S, *linalg.minors(R, S, S)) for S in sets), tol)
 
 
 def is_jacobi_cone(L, tol=1e-9):
@@ -115,18 +121,12 @@ def is_jacobi_cone(L, tol=1e-9):
     return Verdict(OUTSIDE, worst_w, tol)
 
 
-def _left_minors(R, n, k):
-    for I in linalg.index_sets(n, k):
-        sub = R[np.ix_([i - 1 for i in I], list(range(k)))]
-        yield I, linalg._det(sub)
-
-
 def is_tnn_unitary(g, tol=1e-9):
     """Certify a unitary matrix as totally positive / nonnegative.
 
     Positive means all left-justified minors are positive real numbers; the
     fast path checks only minors on consecutive rows (Fekete), which suffices
-    for positivity. Nonnegativity needs the exhaustive check.
+    for positivity. Nonnegativity needs them all, one batch per order.
     """
     A = linalg.square(g)
     n = A.shape[0]
@@ -135,36 +135,15 @@ def is_tnn_unitary(g, tol=1e-9):
     if n > MAX_EXHAUSTIVE_N:
         raise LinalgError(f"is_tnn_unitary: exhaustive minor test capped at n = {MAX_EXHAUSTIVE_N}")
     # Fekete fast path: consecutive-row minors positive => totally positive.
-    fekete_ok = True
     for k in range(1, n + 1):
-        for i in range(1, n - k + 2):
-            I = tuple(range(i, i + k))
-            val = linalg.minor(A, I, tuple(range(1, k + 1)))
-            sub = A[np.ix_([r - 1 for r in I], list(range(k)))]
-            s = _row_norm_scale(sub)
-            if abs(val.imag) > tol * s or val.real <= tol * s:
-                fekete_ok = False
-                break
-        if not fekete_ok:
+        vals, s = linalg.left_minors(A, [tuple(range(i, i + k)) for i in range(1, n - k + 2)])
+        if np.any((np.abs(vals.imag) > tol * s) | (vals.real <= tol * s)):
             break
-    if fekete_ok:
+    else:
         return Verdict(POSITIVE, None, tol)
-    worst = np.inf
-    worst_w = None
-    for k in range(1, n + 1):
-        for I, val in _left_minors(A, n, k):
-            sub = A[np.ix_([r - 1 for r in I], list(range(k)))]
-            s = _row_norm_scale(sub)
-            if abs(val.imag) > tol * s:
-                return Verdict(OUTSIDE, Witness(I, tuple(range(1, k + 1)), float(val.imag)), tol,
-                               note="non-real minor")
-            rel = val.real / s
-            if rel < worst:
-                worst = rel
-                worst_w = Witness(I, tuple(range(1, k + 1)), float(val.real))
-    if worst > -tol:
-        return Verdict(NONNEGATIVE, worst_w, tol)
-    return Verdict(OUTSIDE, worst_w, tol)
+    batches = ((rows, cols, *linalg.minors(A, rows, cols))
+               for rows, cols in (_left_sets(n, k) for k in range(1, n + 1)))
+    return _verdict(batches, tol, nonreal_note="non-real minor", allow_positive=False)
 
 
 def is_plucker_nonneg(rep, K, tol=1e-9):
@@ -172,8 +151,9 @@ def is_plucker_nonneg(rep, K, tol=1e-9):
     of rep, for each order k in K.
 
     Coordinates of each order are normalized so the largest-modulus one is
-    positive real. For consecutive K this coincides with Lusztig positivity;
-    otherwise only the Plucker notion is certified.
+    positive real, all of one order computed in one batch. For consecutive K
+    this coincides with Lusztig positivity; otherwise only the Plucker notion
+    is certified.
     """
     A = linalg.square(rep)
     n = A.shape[0]
@@ -186,29 +166,19 @@ def is_plucker_nonneg(rep, K, tol=1e-9):
     consecutive = all(b - a == 1 for a, b in zip(K, K[1:]))
     note = ("consecutive K: Plucker positivity coincides with Lusztig positivity" if consecutive
             else "non-consecutive K: certifies Plucker positivity only")
-    worst = np.inf
-    worst_w = None
-    for k in K:
-        items = list(_left_minors(A, n, k))
-        vals = np.array([v for _, v in items])
-        top = np.abs(vals).max()
-        if top <= 0.0:
-            raise DomainError("is_plucker_nonneg: degenerate representative")
-        ph = vals[int(np.argmax(np.abs(vals)))]
-        vals = vals / (ph / abs(ph))
-        for (I, _), v in zip(items, vals):
-            if abs(v.imag) > tol * top:
-                return Verdict(OUTSIDE, Witness(I, tuple(range(1, k + 1)), float(v.imag)), tol,
-                               note="non-real coordinate after phase normalization")
-            rel = v.real / top
-            if rel < worst:
-                worst = rel
-                worst_w = Witness(I, tuple(range(1, k + 1)), float(v.real))
-    if worst > tol:
-        return Verdict(POSITIVE, None, tol, note=note)
-    if worst > -tol:
-        return Verdict(NONNEGATIVE, worst_w, tol, note=note)
-    return Verdict(OUTSIDE, worst_w, tol, note=note)
+
+    def batches():
+        for rows, cols in (_left_sets(n, k) for k in K):
+            vals = linalg.minors(A, rows, cols)[0]
+            mag = np.abs(vals)
+            top = mag.max()
+            if top <= 0.0:
+                raise DomainError("is_plucker_nonneg: degenerate representative")
+            ph = vals.flat[int(np.argmax(mag))]
+            yield rows, cols, vals / (ph / abs(ph)), top
+
+    return _verdict(batches(), tol, note=note,
+                    nonreal_note="non-real coordinate after phase normalization")
 
 
 def is_eventually_tp(L, m_max, tol=1e-9):

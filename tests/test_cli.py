@@ -213,3 +213,31 @@ def test_verify_passes():
     assert rc == 0
     lines = out.strip().split("\n")
     assert len(lines) == 5 and all(line.endswith("PASS") for line in lines)
+
+
+def assert_malformed(capsys, argv):
+    rc, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_bad_matrix_dimensions_exit_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for rows, data in (("x", [[1, 0]] * 4), (-1, [[1, 0]] * 2), (2, 4)):
+        path.write_text(json.dumps({"rows": rows, "cols": -2 if rows == -1 else 2, "data": data}))
+        assert_malformed(capsys, ["positivity", "--kind", "tp", "--in", str(path)])
+
+
+def test_non_integer_flag_K_exits_2(tmp_path, capsys):
+    path = tmp_path / "flag.json"
+    path.write_text(json.dumps({"n": 3, "K": ["a"],
+                                "rep": oio.matrix_to_json(intro_matrix().astype(complex))}))
+    assert_malformed(capsys, ["twist", "--map", "theta", "--in", str(path)])
+
+
+def test_zero_samples_exits_2(tmp_path, capsys):
+    path = write_matrix(tmp_path, "L0.json", 1j * np.array([[0.0, 1], [1, 0]]))
+    assert_malformed(capsys, ["toda", "--in", path, "--samples", "0"])
+    assert_malformed(capsys, ["flow", "--metric", "kahler", "--lambda", "1,-1", "--in", path,
+                              "--t1", "1", "--samples", "0"])
