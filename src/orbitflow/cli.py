@@ -1,7 +1,8 @@
 """Command-line surface: JSON in, JSON/CSV out, deterministic under --seed.
 
 Exit codes: 0 success, 1 an "outside" verdict or failed verification,
-2 malformed input (bad JSON, dimension mismatch, domain errors).
+2 malformed input (bad JSON, dimension mismatch, domain errors), 3 an
+internal error.
 """
 
 import argparse
@@ -123,6 +124,8 @@ def cmd_flow(args, out):
         lam = P.lam
     if args.N:
         N = io.matrix_from_json(_load_json(args.N))
+        if N.shape != (len(lam), len(lam)):
+            raise LinalgError(f"driver N has shape {N.shape}, expected {len(lam)} x {len(lam)}")
     else:
         N = np.zeros((len(lam), len(lam)), dtype=complex)   # constant flow
     spec = flows.FlowSpec(args.metric, N, lam, step=args.step, tol=args.tol)
@@ -156,8 +159,7 @@ def cmd_toda(args, out):
     else:
         times = np.linspace(args.t0, args.t1, args.samples)
         pts = [toda.toda_symes(P, float(t)) for t in times]
-        diags = [flows._diagnose(Q, P.lam, -1j * np.diag(P.lam)) for Q in pts]
-        traj = flows.Trajectory(times, pts, diags)
+        traj = flows.Trajectory(times, pts, flows._diagnose_all(pts, P.lam, -1j * np.diag(P.lam)))
     _emit_lines(io.trajectory_csv_lines(traj), out)
     return 0
 
@@ -368,6 +370,9 @@ def main(argv=None, out=None):
     except (LinalgError, DomainError, CertificationError, DriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:   # a defect, not bad input: report it without a traceback
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

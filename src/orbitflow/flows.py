@@ -72,44 +72,44 @@ def _eig_rep(P):
     return U
 
 
-def _cluster_labels(lam):
+def _offcluster_mask(lam):
+    """(n, n) mask of the index pairs (i, j) with lam_i and lam_j in different clusters."""
     labels = np.zeros(len(lam), dtype=int)
     for b, (s, e) in enumerate(linalg.cluster_blocks(lam)):
         labels[s:e] = b
-    return labels
+    return labels[:, None] != labels[None, :]
 
 
-def _adinv_diag(M, lam):
-    """ad^{-1} at i diag(lam): divide off-cluster entries by i/(lam_j - lam_i)."""
+def _adinv_coeffs(lam):
+    """ad^{-1} at i diag(lam) as entrywise factors: 1j / (lam_j - lam_i) off-cluster, 0 on it."""
     lam = np.asarray(lam, dtype=float)
-    labels = _cluster_labels(lam)
-    n = len(lam)
-    out = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            if labels[i] != labels[j]:
-                out[i, j] = 1j / (lam[j] - lam[i]) * M[i, j]
-    return out
-
-
-def _offcluster_part(M, lam):
-    labels = _cluster_labels(np.asarray(lam, dtype=float))
-    mask = labels[:, None] != labels[None, :]
-    return np.where(mask, M, 0.0)
+    out = np.zeros((len(lam), len(lam)), dtype=complex)
+    return np.divide(1j, lam[None, :] - lam[:, None], out=out, where=_offcluster_mask(lam))
 
 
 def ad_inverse(P, M):
     """Preimage of the image component: [L, ad_inverse(L, M)] = M^L."""
     M = _check_skew(M, "ad_inverse: second argument")
     U = _eig_rep(P)
-    return U @ _adinv_diag(U.conj().T @ M @ U, P.lam) @ U.conj().T
+    return U @ (_adinv_coeffs(P.lam) * (U.conj().T @ M @ U)) @ U.conj().T
 
 
 def image_component(P, M):
     """M^L: the component of M in the image of ad_L."""
     M = _check_skew(M)
     U = _eig_rep(P)
-    return U @ _offcluster_part(U.conj().T @ M @ U, P.lam) @ U.conj().T
+    return U @ np.where(_offcluster_mask(P.lam), U.conj().T @ M @ U, 0.0) @ U.conj().T
+
+
+def _kahler_rep(g, mu, W, t, max_exp=14.0):
+    """k_factor(exp(t iN) g) from the spectrum mu and eigenbasis W of iN, in chunks."""
+    nch = linalg.split_chunks(t, float(mu[0] - mu[-1]), max_exp)
+    dt = t / nch
+    for _ in range(nch):
+        ex = dt * mu
+        ex = ex - ex.max()
+        g = linalg.k_factor((W * np.exp(ex)[None, :]) @ W.conj().T @ g)
+    return g
 
 
 def kahler_rep_flow(g0, N, t, max_exp=14.0):
@@ -118,26 +118,26 @@ def kahler_rep_flow(g0, N, t, max_exp=14.0):
     Chunking (semigroup property of the flag flow) plus per-chunk rescaling
     keeps the QR numerically meaningful for large |t| * spectral diameter.
     """
-    N = _check_skew(N, "flow driver N")
-    mu, W = linalg.herm_eig(1j * N)
-    diam = float(mu[0] - mu[-1])
-    g = linalg.as_matrix(g0).copy()
-    nch = linalg.split_chunks(t, diam, max_exp)
-    dt = t / nch
-    for _ in range(nch):
-        ex = dt * mu
-        ex = ex - ex.max()
-        A = (W * np.exp(ex)[None, :]) @ W.conj().T @ g
-        g = linalg.k_factor(A)
-    return g
+    mu, W = linalg.herm_eig(1j * _check_skew(N, "flow driver N"))
+    return _kahler_rep(linalg.as_matrix(g0), mu, W, t, max_exp)
+
+
+def _kahler_points(L0, N, times):
+    """Exact Kahler flow points at each time, from one eigendecomposition of iN and of L0."""
+    mu, W = linalg.herm_eig(1j * _check_skew(N, "flow driver N"))
+    U = _eig_rep(L0)
+    D = 1j * np.diag(L0.lam)
+    pts = []
+    for t in times:
+        g = _kahler_rep(U, mu, W, float(t))
+        L = g @ D @ g.conj().T
+        pts.append(OrbitPoint((L - L.conj().T) / 2, L0.lam.copy(), tuple(L0.K)))
+    return pts
 
 
 def kahler_flow(L0, N, t):
     """Exact Kahler-metric gradient flow point at time t."""
-    g = kahler_rep_flow(_eig_rep(L0), N, t)
-    L = g @ (1j * np.diag(L0.lam)) @ g.conj().T
-    L = (L - L.conj().T) / 2
-    return OrbitPoint(L, L0.lam.copy(), tuple(L0.K))
+    return _kahler_points(L0, N, (t,))[0]
 
 
 def kahler_flow_projection(L0, N, t):
@@ -160,13 +160,19 @@ def kahler_flow_projection(L0, N, t):
     return OrbitPoint((L - L.conj().T) / 2, lam.copy(), tuple(L0.K))
 
 
-def _diagnose(P, lam0, N):
-    w, _ = linalg.herm_eig(-1j * P.L)
-    return {
-        "spectrum_drift": float(np.abs(w - lam0).max()),
-        "unitarity_drift": float(linalg.skew_defect(P.L)),
-        "lyapunov": lyapunov(P, N),
-    }
+def _diagnose_all(points, lam0, N):
+    """Spectrum drift, skew defect and Lyapunov value -kappa(L, N) of every
+    point, each computed on the whole (samples, n, n) stack at once."""
+    N = _check_skew(N, "killing: second argument")
+    L = np.stack([P.L for P in points])
+    if not np.all(np.isfinite(L)):
+        raise LinalgError("matrix entries must be finite")
+    w = np.linalg.eigvalsh(-1j * L)[:, ::-1]
+    n = L.shape[1]
+    kappa = 2 * n * np.trace(L @ N, axis1=1, axis2=2) - 2 * np.trace(L, axis1=1, axis2=2) * np.trace(N)
+    skew = np.abs(L + L.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    return [{"spectrum_drift": float(d), "unitarity_drift": float(u), "lyapunov": -float(k)}
+            for d, u, k in zip(np.abs(w - lam0).max(axis=1), skew, kappa.real)]
 
 
 def _sample_grid(t0, t1, samples):
@@ -177,9 +183,8 @@ def _sample_grid(t0, t1, samples):
 
 def kahler_trajectory(L0, N, t1, t0=0.0, samples=51):
     times = _sample_grid(t0, t1, samples)
-    pts = [kahler_flow(L0, N, float(t)) for t in times]
-    diags = [_diagnose(P, L0.lam, N) for P in pts]
-    return Trajectory(times, pts, diags)
+    pts = _kahler_points(L0, N, times)
+    return Trajectory(times, pts, _diagnose_all(pts, L0.lam, N))
 
 
 def run(spec, L0, t1, t0=0.0, samples=51):
@@ -206,11 +211,14 @@ def _rk4(f, X, dt):
 
 
 def _integrate(f, X0, times, step, project):
+    """RK4 from X0 through each sample time, projecting after every step. A
+    sample interval takes ceil(|span| / step) equal steps, where a ratio within
+    a relative 1e-12 of an integer counts as that integer."""
     out = [X0]
     X = X0
     for ta, tb in zip(times[:-1], times[1:]):
         span = float(tb - ta)
-        nsub = max(1, int(ceil(abs(span) / step)))
+        nsub = max(1, int(ceil(abs(span) / step * (1 - 1e-12))))
         dt = span / nsub
         for _ in range(nsub):
             X = project(_rk4(f, X, dt))
@@ -226,7 +234,7 @@ def _drift_controlled(build, L0, N, t1, t0, step, tol, samples, min_step_factor=
     hmin = step * min_step_factor
     while True:
         pts = build(times, h)
-        diags = [_diagnose(P, L0.lam, N) for P in pts]
+        diags = _diagnose_all(pts, L0.lam, N)
         drift = max(d["spectrum_drift"] for d in diags)
         if drift < tol:
             return Trajectory(times, pts, diags)
@@ -236,7 +244,8 @@ def _drift_controlled(build, L0, N, t1, t0, step, tol, samples, min_step_factor=
 
 
 def normal_flow(L0, N, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
-    """Double-bracket gradient flow dL/dt = [L, [L, N]] in the normal metric."""
+    """Double-bracket gradient flow dL/dt = [L, [L, N]] in the normal metric.
+    Each sample interval takes ceil(|span| / step) RK4 steps (see _integrate)."""
     N = _check_skew(N, "flow driver N")
 
     def f(L):
@@ -260,16 +269,18 @@ def _polar_unitary(g):
 
 def induced_flow(g0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
     """Induced-metric gradient flow, integrated on the unitary lift
-    dg/dt = ad_inv_L(N) g with per-step polar re-unitarization."""
+    dg/dt = ad_inv_L(N) g with per-step polar re-unitarization. Each sample
+    interval takes ceil(|span| / step) RK4 steps (see _integrate)."""
     N = _check_skew(N, "flow driver N")
     lam = np.asarray(lam, dtype=float)
     g0 = linalg.as_matrix(g0)
     D = 1j * np.diag(lam)
     K = linalg.multiplicity_set(lam)
+    C = _adinv_coeffs(lam)
     L0 = OrbitPoint((g0 @ D @ g0.conj().T - (g0 @ D @ g0.conj().T).conj().T) / 2, lam, K)
 
     def f(g):
-        return g @ _adinv_diag(g.conj().T @ N @ g, lam)
+        return g @ (C * (g.conj().T @ N @ g))
 
     def build(times, h):
         reps = _integrate(f, g0.astype(complex), times, h, _polar_unitary)
@@ -293,6 +304,7 @@ def induced_flow_twisted(h0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51
     Nd = d @ N @ d
     D = 1j * np.diag(lam)
     K = linalg.multiplicity_set(lam)
+    C = _adinv_coeffs(lam)
     h0 = linalg.as_matrix(h0)
 
     def point(h):
@@ -303,7 +315,7 @@ def induced_flow_twisted(h0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51
     L0 = point(h0)
 
     def f(h):
-        return -_adinv_diag(h @ Nd @ h.conj().T, lam) @ h
+        return -(C * (h @ Nd @ h.conj().T)) @ h
 
     def build(times, hstep):
         reps = _integrate(f, h0.astype(complex), times, hstep, _polar_unitary)
@@ -411,7 +423,7 @@ def boundary_derivative(metric, lam, N, g0, I, tol=1e-9):
         L0 = g0 @ (1j * np.diag(lam)) @ g0.conj().T
         gdot = -(L0 @ N - N @ L0) @ g0
     else:
-        gdot = g0 @ _adinv_diag(g0.conj().T @ N @ g0, lam)
+        gdot = g0 @ (_adinv_coeffs(lam) * (g0.conj().T @ N @ g0))
     rows = [i - 1 for i in I]
     total = 0.0 + 0.0j
     for j in range(k):

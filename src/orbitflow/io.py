@@ -111,6 +111,11 @@ def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ": "))
 
 
+def _csv_row(first, M):
+    """first, then the re/im parts of M row-major, each as Python's shortest repr."""
+    return ",".join([first, *map(repr, np.asarray(M, dtype=complex).reshape(-1).view(float).tolist())])
+
+
 def trajectory_csv_lines(traj):
     """CSV rows: t, then interleaved re/im of L row-major (0-based headers)."""
     n = traj.points[0].L.shape[0]
@@ -121,11 +126,7 @@ def trajectory_csv_lines(traj):
             header.append(f"L_im[{i}][{j}]")
     yield ",".join(header)
     for t, P in zip(traj.times, traj.points):
-        row = [repr(float(t))]
-        for z in P.L.reshape(-1):
-            row.append(repr(float(z.real)))
-            row.append(repr(float(z.imag)))
-        yield ",".join(row)
+        yield _csv_row(repr(float(t)), P.L)
 
 
 def samples_csv_lines(samples):
@@ -138,8 +139,4 @@ def samples_csv_lines(samples):
             header.append(f"V_im[{i}][{j}]")
     yield ",".join(header)
     for idx, S in enumerate(samples):
-        row = [str(idx)]
-        for z in np.asarray(S, dtype=complex).reshape(-1):
-            row.append(repr(float(z.real)))
-            row.append(repr(float(z.imag)))
-        yield ",".join(row)
+        yield _csv_row(str(idx), S)

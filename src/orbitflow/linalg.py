@@ -152,8 +152,12 @@ def k_factor(g):
 
 def k_project(L):
     """Skew-Hermitian K with L - K upper-triangular with real diagonal."""
-    A = square(L)
-    K = np.tril(A, -1).astype(complex)
+    return _k_project(square(L))
+
+
+def _k_project(A):
+    """k_project of a complex square array, unchecked."""
+    K = np.tril(A, -1)
     K = K - K.conj().T
     np.fill_diagonal(K, 1j * np.imag(np.diag(A)))
     return K

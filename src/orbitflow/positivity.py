@@ -53,20 +53,25 @@ def _require_real(A, tol, scale, what):
 
 def _verdict(batches, tol, note=None, nonreal_note=None, allow_positive=True):
     """Verdict from batches (rows, cols, minors, scale) of one order each. The
-    witness is the first smallest minor / scale (never NaN), as a sequential
-    `<` scan finds it; a minor with |imag| > tol * scale is outside at once."""
+    witness is the first smallest minor / scale, as a sequential `<` scan
+    finds it; a minor with |imag| > tol * scale is outside at once. A
+    non-finite minor or scale (overflow) raises: no verdict may rest on the
+    orders that did not overflow."""
     worst, worst_w = np.inf, None
-    for rows, cols, vals, scale in batches:
-        nonreal = np.abs(vals.imag) > tol * scale
-        if nonreal.any():
-            a, b = divmod(int(np.argmax(nonreal)), len(cols))
-            return Verdict(OUTSIDE, Witness(rows[a], cols[b], float(vals[a, b].imag)), tol,
-                           note=nonreal_note)
-        rel = vals.real / scale
-        i = int(np.argmin(np.fmin(rel, np.inf)))
-        if rel.flat[i] < worst:
-            a, b = divmod(i, len(cols))
-            worst, worst_w = rel.flat[i], Witness(rows[a], cols[b], float(vals[a, b].real))
+    with np.errstate(over="ignore", invalid="ignore"):   # overflow is reported below
+        for rows, cols, vals, scale in batches:
+            rel = vals.real / scale
+            if not np.isfinite(rel + scale).all():   # finite iff both are: |rel| <= 1 (Hadamard)
+                raise LinalgError(f"order-{len(rows[0])} minors overflow; rescale the input")
+            nonreal = np.abs(vals.imag) > tol * scale
+            if nonreal.any():
+                a, b = divmod(int(np.argmax(nonreal)), len(cols))
+                return Verdict(OUTSIDE, Witness(rows[a], cols[b], float(vals[a, b].imag)), tol,
+                               note=nonreal_note)
+            i = int(np.argmin(rel))
+            if rel.flat[i] < worst:
+                a, b = divmod(i, len(cols))
+                worst, worst_w = rel.flat[i], Witness(rows[a], cols[b], float(vals[a, b].real))
     if allow_positive and worst > tol:
         return Verdict(POSITIVE, None, tol, note=note)
     return Verdict(NONNEGATIVE if worst > -tol else OUTSIDE, worst_w, tol, note=note)

@@ -35,10 +35,11 @@ def toda_symes(P, t, max_exp=14.0):
 
 
 def toda_ode(P, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
-    """Flaschka form integrated with RK4 and drift-controlled step halving."""
+    """Flaschka form integrated with RK4 and drift-controlled step halving.
+    Each sample interval takes ceil(|span| / step) steps (see flows._integrate)."""
 
     def f(L):
-        B = linalg.k_project(-1j * L)
+        B = linalg._k_project(-1j * L)
         return L @ B - B @ L
 
     def project(L):

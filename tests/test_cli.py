@@ -241,3 +241,29 @@ def test_zero_samples_exits_2(tmp_path, capsys):
     assert_malformed(capsys, ["toda", "--in", path, "--samples", "0"])
     assert_malformed(capsys, ["flow", "--metric", "kahler", "--lambda", "1,-1", "--in", path,
                               "--t1", "1", "--samples", "0"])
+
+
+def test_overflowing_minors_exit_2(tmp_path, capsys):
+    path = write_matrix(tmp_path, "big.json", np.array([[1.0, 2, 1], [1, 3, 4], [1, 4, 6]]) * 1e120)
+    assert_malformed(capsys, ["positivity", "--kind", "tp", "--in", path])
+
+
+def test_stray_exception_exits_3(tmp_path, capsys, monkeypatch):
+    from orbitflow import cli
+
+    def broken(args, out):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_positivity", broken)
+    rc, out = run_cli(["positivity", "--kind", "tp", "--in", write_matrix(tmp_path, "a.json", np.eye(2))])
+    err = capsys.readouterr().err
+    assert rc == 3 and out == ""
+    assert err == "internal error: RuntimeError: boom\n"
+
+
+def test_flow_driver_size_mismatch_exits_2(tmp_path, capsys):
+    path = write_matrix(tmp_path, "L0.json", 1j * np.array([[0.0, 1], [1, 0]]))
+    N = write_matrix(tmp_path, "N.json", 1j * np.eye(3))
+    for metric in ("kahler", "normal", "induced"):
+        assert_malformed(capsys, ["flow", "--metric", metric, "--lambda", "1,-1", "--in", path,
+                                  "--N", N, "--t1", "0.1", "--samples", "3"])

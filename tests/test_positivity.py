@@ -167,3 +167,17 @@ def test_sample_tnn_flag_examples():
     b = positivity.sample_tnn_flag(4, rng, boundary=True)
     v = positivity.is_tnn_unitary(b)
     assert v.status == "nonnegative"
+
+
+# 1- and 2-minors positive, determinant -1: outside.
+OUTSIDE_3 = np.array([[1.0, 2, 1], [1, 3, 4], [1, 4, 6]])
+
+
+def test_overflowing_minors_raise():
+    with pytest.raises(LinalgError, match="overflow"):
+        positivity.is_tp_matrix(OUTSIDE_3 * 1e120)
+
+
+def test_large_finite_scale_keeps_verdict():
+    for A in (OUTSIDE_3, np.array([[1.0, 2, 1], [1, 3, 2], [1, 4, 4]]), np.eye(3)):
+        assert positivity.is_tp_matrix(A * 1e100).status == positivity.is_tp_matrix(A).status
