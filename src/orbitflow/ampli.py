@@ -8,7 +8,6 @@ of certified totally positive Grassmannian points are produced.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import flagorbit, jacobi, linalg, positivity
 from .errors import CertificationError, DomainError, LinalgError
@@ -90,17 +89,10 @@ def kernel_invariant(zd, N, rtol=linalg.RANK_RTOL):
     return linalg.rank_of(B, rtol) == zd.n - zd.k - zd.m
 
 
-def _check_skew(N):
-    A = linalg.square(N)
-    if linalg.skew_defect(A) > 1e-8 * max(1.0, float(np.abs(A).max())):
-        raise LinalgError("expected a skew-Hermitian matrix")
-    return A
-
-
 def project_N(zd, N, tol=1e-8):
     """M = Z N Z^T, the projected driving matrix; needs orthonormal rows and
     an invariant kernel, and then Z exp(t iN) = exp(t iM) Z."""
-    N = _check_skew(N)
+    N = linalg.check_skew(N, "project_N: N")
     if not zd.orthonormal_rows:
         raise DomainError("project_N: Z must have orthonormal rows")
     if not kernel_invariant(zd, N):
@@ -143,7 +135,10 @@ def sample_amplituhedron(zd, count, rng):
 
 def in_conic_hull(y, vertices, tol=1e-9):
     """Feasibility of y = sum_i c_i v_i with c >= 0 (projective membership for
-    k = 1 points), decided by linear programming."""
+    k = 1 points), decided by linear programming. scipy is imported here, on
+    first use, so that importing orbitflow loads only numpy."""
+    import scipy.optimize
+
     y = np.asarray(y, dtype=float).reshape(-1)
     Vm = np.asarray(vertices, dtype=float)
     y = y / np.linalg.norm(y)

@@ -39,6 +39,25 @@ def _parse_floats(text, field):
         raise LinalgError(f"field {field!r} must be a comma-separated float list: {exc}")
 
 
+# the options each jacobi / ampli action reads, checked before it runs
+_NEEDS = {
+    "from-moser": ("--lambda", "--x"),
+    "to-moser": ("--in",),
+    "from-12flag": ("--in",),
+    "build-Z": ("--lambda", "--x", "--r"),
+    "zmap": ("--Z", "--V"),
+    "project-N": ("--Z", "--N"),
+    "sample": ("--Z",),
+}
+_DEST = {"--lambda": "lam", "--in": "infile"}
+
+
+def _check_needs(args):
+    for flag in _NEEDS[args.action]:
+        if getattr(args, _DEST.get(flag, flag[2:])) is None:
+            raise LinalgError(f"{args.command} {args.action} needs option {flag}")
+
+
 def _orbit_from_path(path, lam=None):
     obj = _load_json(path)
     if isinstance(obj, dict) and "L" in obj:
@@ -88,7 +107,11 @@ def cmd_twist(args, out):
     if args.n is not None:
         obj = _load_json(args.infile)
         rows = obj.get("rows", obj.get("n")) if isinstance(obj, dict) else None
-        if rows is not None and int(rows) != args.n:
+        try:
+            size = None if rows is None else int(rows)
+        except (TypeError, ValueError) as exc:
+            raise LinalgError(f"field 'rows'/'n' must be an integer: {exc}")
+        if size is not None and size != args.n:
             raise LinalgError(f"field 'rows'/'n' is {rows}, expected {args.n}")
     if args.map == "iota":
         M = io.matrix_from_json(_load_json(args.infile))
@@ -141,12 +164,12 @@ def cmd_toda(args, out):
         _emit({"forward": io.orbit_to_json(Lp), "backward": io.orbit_to_json(Lm)}, out)
         return 0
     if args.twist_check:
-        times = np.linspace(args.t0, args.t1, max(args.samples, 2))[1:]
+        times = flows._sample_grid(args.t0, args.t1, max(args.samples, 2))[1:]
         res = max(toda.toda_twist_residual(P, float(t)) for t in times)
         _emit({"max_twist_residual": res}, out)
         return 0
     if args.cross_check:
-        times = np.linspace(args.t0, args.t1, args.samples)
+        times = flows._sample_grid(args.t0, args.t1, args.samples)
         traj = toda.toda_ode(P, args.t1, t0=args.t0, step=args.step,
                              tol=args.tol, samples=args.samples)
         res = max(float(np.abs(toda.toda_symes(P, float(t)).L - Q.L).max())
@@ -157,7 +180,7 @@ def cmd_toda(args, out):
         traj = toda.toda_ode(P, args.t1, t0=args.t0, step=args.step,
                              tol=args.tol, samples=args.samples)
     else:
-        times = np.linspace(args.t0, args.t1, args.samples)
+        times = flows._sample_grid(args.t0, args.t1, args.samples)
         pts = [toda.toda_symes(P, float(t)) for t in times]
         traj = flows.Trajectory(times, pts, flows._diagnose_all(pts, P.lam, -1j * np.diag(P.lam)))
     _emit_lines(io.trajectory_csv_lines(traj), out)
@@ -165,6 +188,7 @@ def cmd_toda(args, out):
 
 
 def cmd_jacobi(args, out):
+    _check_needs(args)
     if args.action == "from-moser":
         d = jacobi.moser_data(_parse_floats(args.lam, "lambda"), _parse_floats(args.x, "x"))
         _emit(io.orbit_to_json(jacobi.jacobi_from_moser(d)), out)
@@ -183,6 +207,7 @@ def cmd_jacobi(args, out):
 
 
 def cmd_ampli(args, out):
+    _check_needs(args)
     if args.action == "build-Z":
         d = jacobi.moser_data(_parse_floats(args.lam, "lambda"), _parse_floats(args.x, "x"))
         zd = ampli.twisted_vdm_Z(d, args.r, k=args.k)
@@ -364,8 +389,9 @@ def main(argv=None, out=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "samples", 1) < 1:
-            raise LinalgError(f"field 'samples' must be >= 1, got {args.samples}")
+        for field in ("samples", "count"):
+            if getattr(args, field, 1) < 1:
+                raise LinalgError(f"field {field!r} must be >= 1, got {getattr(args, field)}")
         return args.func(args, out)
     except (LinalgError, DomainError, CertificationError, DriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)

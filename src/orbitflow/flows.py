@@ -43,17 +43,10 @@ class Trajectory:
         return max(d["spectrum_drift"] for d in self.diagnostics)
 
 
-def _check_skew(N, what="matrix"):
-    A = linalg.square(N)
-    if linalg.skew_defect(A) > 1e-8 * max(1.0, float(np.abs(A).max())):
-        raise LinalgError(f"{what} must be skew-Hermitian")
-    return A
-
-
 def killing(L, M):
     """kappa(L, M) = 2n tr(LM) - 2 tr(L) tr(M); real on u_n pairs."""
-    A = L.L if isinstance(L, OrbitPoint) else _check_skew(L, "killing: first argument")
-    B = M.L if isinstance(M, OrbitPoint) else _check_skew(M, "killing: second argument")
+    A = L.L if isinstance(L, OrbitPoint) else linalg.check_skew(L, "killing: first argument")
+    B = M.L if isinstance(M, OrbitPoint) else linalg.check_skew(M, "killing: second argument")
     if A.shape != B.shape:
         raise LinalgError("killing: size mismatch")
     n = A.shape[0]
@@ -89,14 +82,14 @@ def _adinv_coeffs(lam):
 
 def ad_inverse(P, M):
     """Preimage of the image component: [L, ad_inverse(L, M)] = M^L."""
-    M = _check_skew(M, "ad_inverse: second argument")
+    M = linalg.check_skew(M, "ad_inverse: second argument")
     U = _eig_rep(P)
     return U @ (_adinv_coeffs(P.lam) * (U.conj().T @ M @ U)) @ U.conj().T
 
 
 def image_component(P, M):
     """M^L: the component of M in the image of ad_L."""
-    M = _check_skew(M)
+    M = linalg.check_skew(M)
     U = _eig_rep(P)
     return U @ np.where(_offcluster_mask(P.lam), U.conj().T @ M @ U, 0.0) @ U.conj().T
 
@@ -118,13 +111,13 @@ def kahler_rep_flow(g0, N, t, max_exp=14.0):
     Chunking (semigroup property of the flag flow) plus per-chunk rescaling
     keeps the QR numerically meaningful for large |t| * spectral diameter.
     """
-    mu, W = linalg.herm_eig(1j * _check_skew(N, "flow driver N"))
+    mu, W = linalg.herm_eig(1j * linalg.check_skew(N, "flow driver N"))
     return _kahler_rep(linalg.as_matrix(g0), mu, W, t, max_exp)
 
 
 def _kahler_points(L0, N, times):
     """Exact Kahler flow points at each time, from one eigendecomposition of iN and of L0."""
-    mu, W = linalg.herm_eig(1j * _check_skew(N, "flow driver N"))
+    mu, W = linalg.herm_eig(1j * linalg.check_skew(N, "flow driver N"))
     U = _eig_rep(L0)
     D = 1j * np.diag(L0.lam)
     pts = []
@@ -143,7 +136,7 @@ def kahler_flow(L0, N, t):
 def kahler_flow_projection(L0, N, t):
     """Same point via the projection formula: each P_k(t) is the orthogonal
     projection onto exp(t iN) V_k(0); no Iwasawa decomposition involved."""
-    N = _check_skew(N, "flow driver N")
+    N = linalg.check_skew(N, "flow driver N")
     mu, W = linalg.herm_eig(1j * N)
     U = _eig_rep(L0)
     lam = L0.lam
@@ -163,7 +156,7 @@ def kahler_flow_projection(L0, N, t):
 def _diagnose_all(points, lam0, N):
     """Spectrum drift, skew defect and Lyapunov value -kappa(L, N) of every
     point, each computed on the whole (samples, n, n) stack at once."""
-    N = _check_skew(N, "killing: second argument")
+    N = linalg.check_skew(N, "killing: second argument")
     L = np.stack([P.L for P in points])
     if not np.all(np.isfinite(L)):
         raise LinalgError("matrix entries must be finite")
@@ -178,6 +171,8 @@ def _diagnose_all(points, lam0, N):
 def _sample_grid(t0, t1, samples):
     if samples < 1:
         raise LinalgError("samples must be >= 1")
+    if not (np.isfinite(t0) and np.isfinite(t1)):
+        raise LinalgError(f"times must be finite, got t0 = {t0}, t1 = {t1}")
     return np.linspace(t0, t1, samples)
 
 
@@ -214,6 +209,8 @@ def _integrate(f, X0, times, step, project):
     """RK4 from X0 through each sample time, projecting after every step. A
     sample interval takes ceil(|span| / step) equal steps, where a ratio within
     a relative 1e-12 of an integer counts as that integer."""
+    if not (np.isfinite(step) and step > 0):
+        raise LinalgError(f"step must be finite and > 0, got {step}")
     out = [X0]
     X = X0
     for ta, tb in zip(times[:-1], times[1:]):
@@ -229,6 +226,8 @@ def _integrate(f, X0, times, step, project):
 def _drift_controlled(build, L0, N, t1, t0, step, tol, samples, min_step_factor=2 ** -12):
     """Integrate with RK4, halving the step until the spectrum drift over the
     whole trajectory is below tol."""
+    if not tol > 0:   # no drift is below 0 or NaN: every halving would run, then fail
+        raise LinalgError(f"tol must be > 0, got {tol}")
     times = _sample_grid(t0, t1, samples)
     h = step
     hmin = step * min_step_factor
@@ -246,7 +245,7 @@ def _drift_controlled(build, L0, N, t1, t0, step, tol, samples, min_step_factor=
 def normal_flow(L0, N, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
     """Double-bracket gradient flow dL/dt = [L, [L, N]] in the normal metric.
     Each sample interval takes ceil(|span| / step) RK4 steps (see _integrate)."""
-    N = _check_skew(N, "flow driver N")
+    N = linalg.check_skew(N, "flow driver N")
 
     def f(L):
         B = L @ N - N @ L
@@ -271,7 +270,7 @@ def induced_flow(g0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
     """Induced-metric gradient flow, integrated on the unitary lift
     dg/dt = ad_inv_L(N) g with per-step polar re-unitarization. Each sample
     interval takes ceil(|span| / step) RK4 steps (see _integrate)."""
-    N = _check_skew(N, "flow driver N")
+    N = linalg.check_skew(N, "flow driver N")
     lam = np.asarray(lam, dtype=float)
     g0 = linalg.as_matrix(g0)
     D = 1j * np.diag(lam)
@@ -296,7 +295,7 @@ def induced_flow(g0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
 def induced_flow_twisted(h0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
     """Twisted form of the induced flow: dh/dt = -ad_inv(h delta N delta h*) h.
     The trajectory h(t) stays equal to iota(g(t)) for the untwisted lift."""
-    N = _check_skew(N, "flow driver N")
+    N = linalg.check_skew(N, "flow driver N")
     lam = np.asarray(lam, dtype=float)
     n = len(lam)
     from . import perms
@@ -408,7 +407,7 @@ def boundary_derivative(metric, lam, N, g0, I, tol=1e-9):
     boundary configuration (Delta_I(g0) = 0), in the given metric."""
     if metric not in METRICS:
         raise LinalgError(f"unknown metric {metric!r}")
-    N = _check_skew(N, "flow driver N")
+    N = linalg.check_skew(N, "flow driver N")
     lam = np.asarray(lam, dtype=float)
     g0 = linalg.as_matrix(g0)
     n = g0.shape[0]
@@ -520,7 +519,7 @@ def induced_audit_n3(lam, N, tol=1e-9, grid=400):
 def limit_point(N, lam):
     """Global attractor of the Kahler flow: sum of (lam_k - lam_{k+1}) times
     the leading spectral projections of iN, plus lam_n iI."""
-    N = _check_skew(N, "flow driver N")
+    N = linalg.check_skew(N, "flow driver N")
     lam = np.asarray(lam, dtype=float)
     mu, W = linalg.herm_eig(1j * N)
     K = linalg.multiplicity_set(lam)
@@ -540,7 +539,7 @@ def limit_point(N, lam):
 def in_stable_manifold(P, N):
     """rank(Pinf_k P_k) = k for all k in K: the flow from P converges to the
     limit point."""
-    N = _check_skew(N, "flow driver N")
+    N = linalg.check_skew(N, "flow driver N")
     mu, W = linalg.herm_eig(1j * N)
     diam = float(mu[0] - mu[-1])
     for k in P.K:

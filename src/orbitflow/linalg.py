@@ -1,15 +1,15 @@
 """Dense complex linear algebra: minors, index-set combinatorics, the Iwasawa
 (QR) decomposition, the matrix exponential, and eigendecompositions.
 
-Index sets are strictly increasing tuples of 1-based indices.
+Index sets are strictly increasing tuples of 1-based indices. Everything here
+is numpy, except mat_exp, which imports scipy on its first call.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
-import scipy.linalg
 
 from .errors import LinalgError
 
@@ -129,25 +129,30 @@ class IwasawaFactors:
         return self.k_factor @ self.h_factor @ self.n_factor
 
 
-def iwasawa(g):
-    """g = k h n with k unitary, h positive diagonal, n unit upper-triangular."""
+def _qr(g):
+    """Q, R of a square nonsingular g, and the unit phases of diag(R)."""
     A = square(g)
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] <= RANK_RTOL * sv[0]:
         raise LinalgError("iwasawa: singular input")
     Q, R = np.linalg.qr(A)
-    d = np.diag(R).copy()
-    phase = d / np.abs(d)
-    K = Q * phase[None, :]
-    Rpos = R / phase[:, None]
-    h = np.abs(d)
-    N = Rpos / h[:, None]
+    d = np.diag(R)
+    return Q, R, d / np.abs(d)
+
+
+def iwasawa(g):
+    """g = k h n with k unitary, h positive diagonal, n unit upper-triangular."""
+    Q, R, phase = _qr(g)
+    h = np.abs(np.diag(R))
+    N = R / phase[:, None] / h[:, None]
     np.fill_diagonal(N, 1.0)
-    return IwasawaFactors(K, np.diag(h), N)
+    return IwasawaFactors(Q * phase[None, :], np.diag(h), N)
 
 
 def k_factor(g):
-    return iwasawa(g).k_factor
+    """The unitary Iwasawa factor of g, equal to iwasawa(g).k_factor."""
+    Q, _, phase = _qr(g)
+    return Q * phase[None, :]
 
 
 def k_project(L):
@@ -164,6 +169,10 @@ def _k_project(A):
 
 
 def mat_exp(L):
+    """General matrix exponential. scipy is imported here, on first use, so
+    that importing orbitflow loads only numpy."""
+    import scipy.linalg
+
     return scipy.linalg.expm(square(L))
 
 
@@ -217,6 +226,14 @@ def skew_defect(L):
     return float(np.abs(A + A.conj().T).max())
 
 
+def check_skew(M, what="matrix"):
+    """M as a square complex array, checked skew-Hermitian to 1e-8 of its largest entry."""
+    A = square(M)
+    if skew_defect(A) > 1e-8 * max(1.0, float(np.abs(A).max())):
+        raise LinalgError(f"{what} must be skew-Hermitian")
+    return A
+
+
 def cluster_blocks(values, rtol=CLUSTER_RTOL):
     """Partition an ordered spectrum into blocks of near-equal values.
 
@@ -257,6 +274,8 @@ def split_chunks(t, diameter, max_exp=14.0):
     eps * exp(dt * diameter); chunking with re-orthonormalization keeps each
     factor's dynamic range within the working precision.
     """
+    if not isfinite(t):
+        raise LinalgError(f"time must be finite, got {t}")
     if t == 0.0 or diameter <= 0.0:
         return 1
     return max(1, int(ceil(abs(t) * diameter / max_exp)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from orbitflow import flows
 from orbitflow import io as oio
 from orbitflow.cli import main
 
@@ -267,3 +268,58 @@ def test_flow_driver_size_mismatch_exits_2(tmp_path, capsys):
     for metric in ("kahler", "normal", "induced"):
         assert_malformed(capsys, ["flow", "--metric", metric, "--lambda", "1,-1", "--in", path,
                                   "--N", N, "--t1", "0.1", "--samples", "3"])
+
+
+def test_zero_or_nan_step_exits_2(tmp_path, capsys):
+    path = write_matrix(tmp_path, "L0.json", 1j * np.array([[0.0, 1], [1, 0]]))
+    N = write_matrix(tmp_path, "N.json", 1j * np.array([[0.0, 1], [1, 0]]))
+    for step in ("0", "nan"):
+        assert_malformed(capsys, ["toda", "--ode", "--in", path, "--t1", "1", "--step", step])
+        for metric in ("normal", "induced"):
+            assert_malformed(capsys, ["flow", "--metric", metric, "--in", path, "--N", N,
+                                      "--t1", "1", "--samples", "3", "--step", step])
+
+
+def test_negative_or_infinite_step_exits_2(tmp_path, capsys):
+    path = write_matrix(tmp_path, "L0.json", 1j * np.array([[0.0, 1], [1, 0]]))
+    N = write_matrix(tmp_path, "N.json", 1j * np.array([[0.0, 1], [1, 0]]))
+    for step in ("-0.1", "inf"):
+        assert_malformed(capsys, ["flow", "--metric", "normal", "--in", path, "--N", N,
+                                  "--t1", "1", "--samples", "3", "--step", step])
+
+
+def test_non_finite_times_exit_2(tmp_path, capsys):
+    path = write_matrix(tmp_path, "L0.json", 1j * np.array([[0.0, 1], [1, 0]]))
+    for t1 in ("nan", "inf"):
+        assert_malformed(capsys, ["toda", "--symes", "--in", path, "--t1", t1])
+        assert_malformed(capsys, ["toda", "--twist-check", "--in", path, "--t1", t1])
+        assert_malformed(capsys, ["toda", "--limits", "--in", path, "--t-max", t1])
+        for metric in flows.METRICS:
+            assert_malformed(capsys, ["flow", "--metric", metric, "--lambda", "1,-1", "--in", path,
+                                      "--t1", t1, "--samples", "3"])
+
+
+def test_missing_jacobi_options_exit_2(capsys):
+    assert_malformed(capsys, ["jacobi", "from-moser", "--x", "1,2,0.5"])
+    assert_malformed(capsys, ["jacobi", "from-moser", "--lambda", "1,0,-1"])
+    assert_malformed(capsys, ["jacobi", "to-moser"])
+    assert_malformed(capsys, ["jacobi", "from-12flag"])
+
+
+def test_missing_ampli_options_exit_2(tmp_path, capsys):
+    assert_malformed(capsys, ["ampli", "build-Z", "--lambda", "1,0,-1", "--x", "1,1,1"])
+    for action in ("zmap", "project-N", "sample"):
+        assert_malformed(capsys, ["ampli", action])
+    rc, out = run_cli(["ampli", "build-Z", "--lambda", "1,0,-1", "--x", "1,1,1", "--r", "2", "--k", "1"])
+    zpath = tmp_path / "Z.json"
+    zpath.write_text(out)
+    assert_malformed(capsys, ["ampli", "zmap", "--Z", str(zpath)])
+    assert_malformed(capsys, ["ampli", "project-N", "--Z", str(zpath)])
+    assert_malformed(capsys, ["ampli", "sample", "--Z", str(zpath), "--count", "0"])
+
+
+def test_non_integer_rows_with_n_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"rows": "x", "cols": 3, "data": [[1, 0]] * 9}))
+    for kind in ("theta", "iota"):
+        assert_malformed(capsys, ["twist", "--map", kind, "--n", "3", "--in", str(path)])

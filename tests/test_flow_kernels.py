@@ -154,3 +154,40 @@ def test_trajectory_csv_matches_elementwise_repr():
     traj.points.append(flagorbit.OrbitPoint(np.asfortranarray(traj.points[1].L.T), lam, P0.K))
     traj.times = np.append(traj.times, [0.6, 0.7])
     assert "\n".join(io.trajectory_csv_lines(traj)) == "\n".join(csv_lines_elementwise(traj))
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
+def test_integrators_reject_bad_step(step):
+    rng = np.random.default_rng(12)
+    lam = np.array([1.0, 0.0, -1.0])
+    P0 = random_orbit_point(rng, lam)
+    N = random_skew(rng, 3)
+    g0 = flagorbit.orbit_to_flag(P0).rep
+    with pytest.raises(LinalgError, match="step"):
+        flows.normal_flow(P0, N, 0.5, step=step, samples=3)
+    with pytest.raises(LinalgError, match="step"):
+        flows.induced_flow(g0, N, lam, 0.5, step=step, samples=3)
+    with pytest.raises(LinalgError, match="step"):
+        toda.toda_ode(P0, 0.5, step=step, samples=3)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan])
+def test_drift_control_rejects_tol_it_cannot_meet(tol):
+    rng = np.random.default_rng(14)
+    P0 = random_orbit_point(rng, np.array([1.0, 0.0, -1.0]))
+    with pytest.raises(LinalgError, match="tol"):
+        flows.normal_flow(P0, random_skew(rng, 3), 0.5, tol=tol, samples=3)
+    with pytest.raises(LinalgError, match="tol"):
+        toda.toda_ode(P0, 0.5, tol=tol, samples=3)
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, np.nan), (0.0, np.inf), (-np.inf, 1.0)])
+def test_trajectories_reject_non_finite_times(t0, t1):
+    rng = np.random.default_rng(13)
+    lam = np.array([1.0, 0.0, -1.0])
+    P0 = random_orbit_point(rng, lam)
+    N = random_skew(rng, 3)
+    with pytest.raises(LinalgError, match="finite"):
+        flows.kahler_trajectory(P0, N, t1, t0=t0, samples=3)
+    with pytest.raises(LinalgError, match="finite"):
+        flows.normal_flow(P0, N, t1, t0=t0, samples=3)

@@ -130,6 +130,35 @@ def test_iwasawa_idempotent_on_unitary():
 def test_iwasawa_singular():
     with pytest.raises(LinalgError):
         linalg.iwasawa(np.array([[1.0, 1], [1, 1]]))
+    with pytest.raises(LinalgError, match="singular"):
+        linalg.k_factor(np.array([[1.0, 1], [1, 1]]))
+
+
+def iwasawa_reference(g):
+    """The Iwasawa factors as one function: SVD check, QR, phases of diag(R)."""
+    A = np.array(g, dtype=complex)
+    sv = np.linalg.svd(A, compute_uv=False)
+    if sv[-1] <= linalg.RANK_RTOL * sv[0]:
+        raise LinalgError("singular")
+    Q, R = np.linalg.qr(A)
+    d = np.diag(R).copy()
+    phase = d / np.abs(d)
+    h = np.abs(d)
+    N = (R / phase[:, None]) / h[:, None]
+    np.fill_diagonal(N, 1.0)
+    return Q * phase[None, :], np.diag(h), N
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_k_factor_and_iwasawa_match_reference_bits(n):
+    rng = np.random.default_rng(40 + n)
+    for g in (rand_complex(rng, (n, n)), rng.normal(size=(n, n))):
+        K, H, N = iwasawa_reference(g)
+        f = linalg.iwasawa(g)
+        assert np.array_equal(linalg.k_factor(g), K)
+        assert np.array_equal(f.k_factor, K)
+        assert np.array_equal(f.h_factor, H)
+        assert np.array_equal(f.n_factor, N)
 
 
 def test_k_project_strictly_upper():
@@ -234,3 +263,18 @@ def test_rank_of():
     assert linalg.rank_of(np.eye(3)) == 3
     A = np.ones((3, 3))
     assert linalg.rank_of(A) == 1
+
+
+def test_check_skew():
+    A = np.array([[1j, 2.0], [-2.0, 0.5j]])
+    assert np.array_equal(linalg.check_skew(A), A)
+    with pytest.raises(LinalgError, match="^flow driver N must be skew-Hermitian$"):
+        linalg.check_skew(A + np.eye(2), "flow driver N")
+    with pytest.raises(LinalgError, match="square"):
+        linalg.check_skew(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_split_chunks_rejects_non_finite_time(t):
+    with pytest.raises(LinalgError, match="finite"):
+        linalg.split_chunks(t, 1.0)
