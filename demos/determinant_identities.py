@@ -11,7 +11,7 @@ rng = np.random.default_rng(0)
 M = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
 det = linalg._det(M)
 I = (2, 4)
-total = sum((-1) ** (linalg.sum_of(I) + linalg.sum_of(J))
+total = sum((-1) ** (sum(I) + sum(J))
             * linalg.minor(M, I, J)
             * linalg.minor(M, tuple(i for i in range(1, 6) if i not in I),
                            tuple(j for j in range(1, 6) if j not in J))
@@ -28,7 +28,7 @@ print(f"Cauchy-Binet on a 4x6 * 6x5 product:  residual {abs(lhs - rhs):.2e}")
 g = rng.normal(size=(4, 4))
 gi = np.linalg.inv(g)
 I, J = (1, 3), (2, 4)
-sgn = (-1) ** (linalg.sum_of(I) + linalg.sum_of(J))
+sgn = (-1) ** (sum(I) + sum(J))
 rhs = sgn / linalg._det(g) * linalg.minor(g, (1, 3), (2, 4))
 print(f"Jacobi's formula for inverse minors:  residual "
       f"{abs(linalg.minor(gi, I, J) - rhs):.2e}")

@@ -97,16 +97,18 @@ def project_N(zd, N, tol=1e-8):
         raise DomainError("project_N: Z must have orthonormal rows")
     if not kernel_invariant(zd, N):
         raise DomainError("project_N: ker(Z) is not invariant under N")
-    M = zd.Z @ N @ zd.Z.T
-    return (M - M.conj().T) / 2
+    return linalg.skew_part(zd.Z @ N @ zd.Z.T)
 
 
 def commutation_residual(zd, N, t):
-    """Max-norm of Z exp(t iN) - exp(t iM) Z."""
+    """Max-norm of Z exp(t iN) - exp(t iM) Z, both exponentials of Hermitian
+    matrices taken from their eigendecompositions."""
+    def exp_t(H):
+        mu, W = linalg.herm_eig(H)
+        return linalg.exp_eig(mu, W, t) * np.exp((t * mu).max())
+
     M = project_N(zd, N)
-    A = zd.Z @ linalg.mat_exp(t * 1j * N)
-    B = linalg.mat_exp(t * 1j * M) @ zd.Z
-    return float(np.abs(A - B).max())
+    return float(np.abs(zd.Z @ exp_t(1j * N) - exp_t(1j * M) @ zd.Z).max())
 
 
 def twisted_vdm_Z(d, r, k=None):

@@ -17,7 +17,6 @@ from . import linalg, perms, positivity
 from .errors import DomainError, LinalgError
 
 CHART_ATOL = 1e-10    # minor-sum threshold for the totally nonnegative chart
-FLAG_ATOL = 1e-8      # flag equality: max projection-matrix deviation
 
 
 @dataclass(frozen=True)
@@ -70,10 +69,6 @@ def flag_distance(V, W):
     return max(float(np.abs(V.projection(k) - W.projection(k)).max()) for k in ks)
 
 
-def flags_equal(V, W, tol=FLAG_ATOL):
-    return V.K == W.K and flag_distance(V, W) < tol
-
-
 def orbit_point(L, lam=None, tol=1e-8):
     """Validated orbit point; lam defaults to the spectrum of -iL."""
     A = linalg.square(L)
@@ -83,10 +78,16 @@ def orbit_point(L, lam=None, tol=1e-8):
     if lam is None:
         lam = w
     else:
-        lam = np.asarray(lam, dtype=float)
+        lam = np.array(lam, dtype=float)
         if len(lam) != len(w) or np.abs(lam - w).max() > tol * max(1.0, np.abs(w).max()):
             raise LinalgError("orbit_point: cached spectrum does not match the matrix")
     return OrbitPoint(A, lam, linalg.multiplicity_set(lam))
+
+
+def orbit_from_rep(g, lam, K):
+    """The orbit point g (i diag lam) g*, skew part taken, with its own copy of lam."""
+    L = g @ (1j * np.diag(lam)) @ g.conj().T
+    return OrbitPoint(linalg.skew_part(L), np.array(lam, dtype=float), tuple(K))
 
 
 def canonical_tnn_rep(A, chart_atol=CHART_ATOL):
@@ -99,14 +100,11 @@ def canonical_tnn_rep(A, chart_atol=CHART_ATOL):
     of each order in one batch; a sum at zero means the flag lies outside the
     chart, and the map is undefined.
     """
-    g = linalg.square(A).copy()
+    g = linalg.square(A)
     n = g.shape[0]
     if linalg.unitary_defect(g) > 1e-10:
         g = linalg.k_factor(g)
-    for j in range(n):
-        col = g[:, j]
-        ph = col[int(np.argmax(np.abs(col)))]
-        g[:, j] = col / (ph / abs(ph))
+    g = linalg.phase_normalize(g)
     if np.abs(g.imag).max() > 1e-8:
         raise DomainError("canonical_tnn_rep: flag admits no real orthogonal representative")
     gr = np.linalg.qr(g.real)[0]
@@ -126,9 +124,7 @@ def pluecker(V, k):
         raise DomainError(f"pluecker: order {k} not in the flag dimension set {V.K}")
     rows = linalg.index_sets(V.n, k)
     vals = linalg.left_minors(V.rep, rows)[0]
-    ph = vals[int(np.argmax(np.abs(vals)))]
-    ph = ph / abs(ph)
-    return dict(zip(rows, (vals / ph).tolist()))
+    return dict(zip(rows, linalg.phase_normalize(vals).tolist()))
 
 
 def flag_to_orbit(V, lam):
@@ -139,9 +135,7 @@ def flag_to_orbit(V, lam):
     if linalg.multiplicity_set(lam) != tuple(V.K):
         raise DomainError(
             f"flag_to_orbit: multiplicity set {linalg.multiplicity_set(lam)} != flag dims {tuple(V.K)}")
-    L = V.rep @ (1j * np.diag(lam)) @ V.rep.conj().T
-    L = (L - L.conj().T) / 2
-    return OrbitPoint(L, lam, tuple(V.K))
+    return orbit_from_rep(V.rep, lam, V.K)
 
 
 def orbit_to_flag(P):
@@ -155,16 +149,16 @@ def orbit_to_flag(P):
     for (a, b) in blocks:
         if b - a > 1:
             U[:, a:b] = np.linalg.qr(U[:, a:b])[0]
-    try:
-        rep = canonical_tnn_rep(U)
-    except DomainError:
-        rep = U.copy()
-        for j in range(rep.shape[1]):
-            col = rep[:, j]
-            ph = col[int(np.argmax(np.abs(col)))]
-            rep[:, j] = col / (ph / abs(ph))
     K = tuple(stop for _, stop in blocks[:-1])   # empty for a point orbit
-    return PartialFlag(P.L.shape[0], K, rep)
+    return PartialFlag(P.L.shape[0], K, _canonical_or_phased(U))
+
+
+def _canonical_or_phased(g):
+    """canonical_tnn_rep(g), or outside the chart g with its column phases normalized."""
+    try:
+        return canonical_tnn_rep(g)
+    except DomainError:
+        return linalg.phase_normalize(g)
 
 
 def proj_matrix(V):
@@ -268,10 +262,7 @@ def twist_orbit(P):
     V = orbit_to_flag(P)
     g = canonical_tnn_rep(V.rep)
     d = perms.delta_matrix(P.L.shape[0])
-    h = (d @ g.real.T @ d).astype(complex)
-    L = h @ (1j * np.diag(P.lam)) @ h.conj().T
-    L = (L - L.conj().T) / 2
-    return OrbitPoint(L, P.lam.copy(), tuple(P.K))
+    return orbit_from_rep((d @ g.real.T @ d).astype(complex), P.lam, P.K)
 
 
 def eigenflag(g):
@@ -279,14 +270,7 @@ def eigenflag(g):
     eigenvalue (modulus first); dimension set from the clustering rule."""
     w, Vv = linalg.general_eig(g)
     blocks = linalg.cluster_blocks(w)
-    rep = linalg.k_factor(Vv)
-    try:
-        rep = canonical_tnn_rep(rep)
-    except DomainError:
-        for j in range(rep.shape[1]):
-            col = rep[:, j]
-            ph = col[int(np.argmax(np.abs(col)))]
-            rep[:, j] = col / (ph / abs(ph))
+    rep = _canonical_or_phased(linalg.k_factor(Vv))
     K = tuple(stop for _, stop in blocks[:-1])
     return PartialFlag(len(w), K if K else complete_K(len(w)), rep)
 

@@ -99,9 +99,7 @@ def _kahler_rep(g, mu, W, t, max_exp=14.0):
     nch = linalg.split_chunks(t, float(mu[0] - mu[-1]), max_exp)
     dt = t / nch
     for _ in range(nch):
-        ex = dt * mu
-        ex = ex - ex.max()
-        g = linalg.k_factor((W * np.exp(ex)[None, :]) @ W.conj().T @ g)
+        g = linalg.k_factor(linalg.exp_eig(mu, W, dt) @ g)
     return g
 
 
@@ -119,13 +117,7 @@ def _kahler_points(L0, N, times):
     """Exact Kahler flow points at each time, from one eigendecomposition of iN and of L0."""
     mu, W = linalg.herm_eig(1j * linalg.check_skew(N, "flow driver N"))
     U = _eig_rep(L0)
-    D = 1j * np.diag(L0.lam)
-    pts = []
-    for t in times:
-        g = _kahler_rep(U, mu, W, float(t))
-        L = g @ D @ g.conj().T
-        pts.append(OrbitPoint((L - L.conj().T) / 2, L0.lam.copy(), tuple(L0.K)))
-    return pts
+    return [flagorbit.orbit_from_rep(_kahler_rep(U, mu, W, float(t)), L0.lam, L0.K) for t in times]
 
 
 def kahler_flow(L0, N, t):
@@ -139,18 +131,17 @@ def kahler_flow_projection(L0, N, t):
     N = linalg.check_skew(N, "flow driver N")
     mu, W = linalg.herm_eig(1j * N)
     U = _eig_rep(L0)
-    lam = L0.lam
-    n = len(lam)
-    ex = t * mu
-    ex = ex - ex.max()
-    E = (W * np.exp(ex)[None, :]) @ W.conj().T
-    M = lam[-1] * np.eye(n, dtype=complex)
-    for k in L0.K:
-        B = E @ U[:, :k]
-        Q = np.linalg.qr(B)[0]
+    E = linalg.exp_eig(mu, W, t)
+    return _from_projections(L0.lam, L0.K, [np.linalg.qr(E @ U[:, :k])[0] for k in L0.K])
+
+
+def _from_projections(lam, K, frames):
+    """The orbit point i (sum over k in K of (lam_k - lam_{k+1}) Q_k Q_k* + lam_n I)
+    from orthonormal n x k frames Q_k, one for each k in K."""
+    M = lam[-1] * np.eye(len(lam), dtype=complex)
+    for k, Q in zip(K, frames):
         M += (lam[k - 1] - lam[k]) * (Q @ Q.conj().T)
-    L = 1j * M
-    return OrbitPoint((L - L.conj().T) / 2, lam.copy(), tuple(L0.K))
+    return OrbitPoint(linalg.skew_part(1j * M), lam.copy(), tuple(K))
 
 
 def _diagnose_all(points, lam0, N):
@@ -223,17 +214,19 @@ def _integrate(f, X0, times, step, project):
     return out
 
 
-def _drift_controlled(build, L0, N, t1, t0, step, tol, samples, min_step_factor=2 ** -12):
-    """Integrate with RK4, halving the step until the spectrum drift over the
-    whole trajectory is below tol."""
+def _drift_controlled(f, X0, project, point, N, t1, t0, step, tol, samples,
+                      min_step_factor=2 ** -12):
+    """Integrate X' = f(X) from X0 with RK4 (see _integrate) and map each sample
+    to an orbit point with point, halving the step until the spectrum drift
+    over the whole trajectory is below tol."""
     if not tol > 0:   # no drift is below 0 or NaN: every halving would run, then fail
         raise LinalgError(f"tol must be > 0, got {tol}")
     times = _sample_grid(t0, t1, samples)
     h = step
     hmin = step * min_step_factor
     while True:
-        pts = build(times, h)
-        diags = _diagnose_all(pts, L0.lam, N)
+        pts = [point(X) for X in _integrate(f, X0, times, h, project)]
+        diags = _diagnose_all(pts, pts[0].lam, N)
         drift = max(d["spectrum_drift"] for d in diags)
         if drift < tol:
             return Trajectory(times, pts, diags)
@@ -251,14 +244,9 @@ def normal_flow(L0, N, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
         B = L @ N - N @ L
         return L @ B - B @ L
 
-    def project(L):
-        return (L - L.conj().T) / 2
-
-    def build(times, h):
-        mats = _integrate(f, L0.L.astype(complex), times, h, project)
-        return [OrbitPoint(M, L0.lam.copy(), tuple(L0.K)) for M in mats]
-
-    return _drift_controlled(build, L0, N, t1, t0, step, tol, samples)
+    return _drift_controlled(f, L0.L.astype(complex), linalg.skew_part,
+                             lambda L: OrbitPoint(L, L0.lam.copy(), tuple(L0.K)),
+                             N, t1, t0, step, tol, samples)
 
 
 def _polar_unitary(g):
@@ -273,23 +261,16 @@ def induced_flow(g0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
     N = linalg.check_skew(N, "flow driver N")
     lam = np.asarray(lam, dtype=float)
     g0 = linalg.as_matrix(g0)
-    D = 1j * np.diag(lam)
     K = linalg.multiplicity_set(lam)
     C = _adinv_coeffs(lam)
-    L0 = OrbitPoint((g0 @ D @ g0.conj().T - (g0 @ D @ g0.conj().T).conj().T) / 2, lam, K)
 
     def f(g):
         return g @ (C * (g.conj().T @ N @ g))
 
-    def build(times, h):
-        reps = _integrate(f, g0.astype(complex), times, h, _polar_unitary)
-        pts = []
-        for g in reps:
-            L = g @ D @ g.conj().T
-            pts.append(OrbitPoint((L - L.conj().T) / 2, lam.copy(), K))
-        return pts
+    def point(g):
+        return flagorbit.orbit_from_rep(g, lam, K)
 
-    return _drift_controlled(build, L0, N, t1, t0, step, tol, samples)
+    return _drift_controlled(f, g0, _polar_unitary, point, N, t1, t0, step, tol, samples)
 
 
 def induced_flow_twisted(h0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
@@ -301,26 +282,17 @@ def induced_flow_twisted(h0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51
     from . import perms
     d = perms.delta_matrix(n)
     Nd = d @ N @ d
-    D = 1j * np.diag(lam)
     K = linalg.multiplicity_set(lam)
     C = _adinv_coeffs(lam)
     h0 = linalg.as_matrix(h0)
 
-    def point(h):
-        # h = iota(g), so the untwisted point is L = delta h* D h delta
-        L = d @ (h.conj().T @ D @ h) @ d
-        return OrbitPoint((L - L.conj().T) / 2, lam.copy(), K)
-
-    L0 = point(h0)
-
     def f(h):
         return -(C * (h @ Nd @ h.conj().T)) @ h
 
-    def build(times, hstep):
-        reps = _integrate(f, h0.astype(complex), times, hstep, _polar_unitary)
-        return [point(h) for h in reps]
+    def point(h):   # h = iota(g), so the untwisted representative is g = delta h* delta
+        return flagorbit.orbit_from_rep(d @ h.conj().T @ d, lam, K)
 
-    return _drift_controlled(build, L0, N, t1, t0, step, tol, samples)
+    return _drift_controlled(f, h0, _polar_unitary, point, N, t1, t0, step, tol, samples)
 
 
 def _graph_connected(adj):
@@ -521,30 +493,27 @@ def limit_point(N, lam):
     the leading spectral projections of iN, plus lam_n iI."""
     N = linalg.check_skew(N, "flow driver N")
     lam = np.asarray(lam, dtype=float)
-    mu, W = linalg.herm_eig(1j * N)
     K = linalg.multiplicity_set(lam)
+    W = _gapped_eigvecs(N, K, "limit_point")
+    return _from_projections(lam, K, [W[:, :k] for k in K])
+
+
+def _gapped_eigvecs(N, K, who):
+    """Eigenbasis of iN (decreasing eigenvalues), checked to have a spectral gap
+    after each k in K."""
+    mu, W = linalg.herm_eig(1j * N)
     diam = float(mu[0] - mu[-1])
     for k in K:
         if mu[k - 1] - mu[k] <= linalg.CLUSTER_RTOL * max(diam, 1e-300):
-            raise DomainError(f"limit_point: eigenvalue gap condition fails at k = {k}")
-    n = len(lam)
-    M = lam[-1] * np.eye(n, dtype=complex)
-    for k in K:
-        P = W[:, :k] @ W[:, :k].conj().T
-        M += (lam[k - 1] - lam[k]) * P
-    L = 1j * M
-    return OrbitPoint((L - L.conj().T) / 2, lam.copy(), K)
+            raise DomainError(f"{who}: eigenvalue gap condition fails at k = {k}")
+    return W
 
 
 def in_stable_manifold(P, N):
     """rank(Pinf_k P_k) = k for all k in K: the flow from P converges to the
     limit point."""
     N = linalg.check_skew(N, "flow driver N")
-    mu, W = linalg.herm_eig(1j * N)
-    diam = float(mu[0] - mu[-1])
-    for k in P.K:
-        if mu[k - 1] - mu[k] <= linalg.CLUSTER_RTOL * max(diam, 1e-300):
-            raise DomainError(f"in_stable_manifold: eigenvalue gap condition fails at k = {k}")
+    W = _gapped_eigvecs(N, P.K, "in_stable_manifold")
     for k, (_, Pk) in zip(P.K, flagorbit.decompose_orbit(P)):
         Pinf = W[:, :k] @ W[:, :k].conj().T
         # both factors have unit spectral norm, so rank against an absolute scale

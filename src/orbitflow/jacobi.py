@@ -60,8 +60,7 @@ def jacobi_from_moser(d):
     u = flagorbit.canonical_tnn_rep(linalg.k_factor(vandermonde_matrix(d)))
     g = flagorbit.twist_unitary(u)
     Lr = g @ (1j * np.diag(lamr)) @ g.conj().T
-    L = a * Lr + b * 1j * np.eye(len(lamr))
-    L = (L - L.conj().T) / 2
+    L = linalg.skew_part(a * Lr + b * 1j * np.eye(len(lamr)))
     verdict = positivity.is_jacobi_cone(-1j * L)
     if verdict.status != positivity.POSITIVE:
         raise CertificationError("jacobi_from_moser: result failed the Jacobi-cone certification")
@@ -101,8 +100,7 @@ def jacobi_from_12flag(V1, V2, n):
     B = linalg.as_matrix(V2)
     if B.shape != (n, 2):
         raise LinalgError(f"jacobi_from_12flag: V2 must be an n x 2 basis, got {B.shape}")
-    ph = v[int(np.argmax(np.abs(v)))]
-    v = v / (ph / abs(ph))
+    v = linalg.phase_normalize(v)
     if np.abs(v.imag).max() > 1e-10 or np.any(v.real <= 0):
         raise DomainError("jacobi_from_12flag: V1 is not a positive line")
     v = v.real / np.linalg.norm(v.real)
@@ -115,8 +113,7 @@ def jacobi_from_12flag(V1, V2, n):
     u = z - np.vdot(v, z) * v
     if np.linalg.norm(u) < 1e-12:
         raise DomainError("jacobi_from_12flag: V2 is degenerate")
-    ph = u[int(np.argmax(np.abs(u)))]
-    u = u / (ph / abs(ph))
+    u = linalg.phase_normalize(u)
     if np.abs(u.imag).max() > 1e-9:
         raise DomainError("jacobi_from_12flag: flag is not real")
     u = u.real / np.linalg.norm(u.real)

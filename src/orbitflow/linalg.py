@@ -48,10 +48,6 @@ def index_sets(n, k):
     return tuple(combinations(range(1, n + 1), k))
 
 
-def sum_of(I):
-    return sum(I)
-
-
 def inv_count(I, J):
     """Number of pairs (i, j) in I x J with i > j."""
     return sum(1 for i in I for j in J if i > j)
@@ -168,6 +164,13 @@ def _k_project(A):
     return K
 
 
+def exp_eig(mu, W, t):
+    """exp(t H) for H = W diag(mu) W* with W unitary, scaled by exp(-max(t mu))
+    so that its largest eigenvalue is 1."""
+    ex = t * mu
+    return (W * np.exp(ex - ex.max())[None, :]) @ W.conj().T
+
+
 def mat_exp(L):
     """General matrix exponential. scipy is imported here, on first use, so
     that importing orbitflow loads only numpy."""
@@ -197,15 +200,21 @@ def general_eig(g, rtol=RANK_RTOL):
     order = sorted(range(len(w)), key=lambda i: (-abs(w[i]), -w[i].real, -w[i].imag))
     w = w[order]
     V = V[:, order]
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        col = col / np.linalg.norm(col)
-        ph = col[np.argmax(np.abs(col))]
-        V[:, j] = col / (ph / abs(ph))
+    V = phase_normalize(V / np.array([np.linalg.norm(col) for col in V.T]))
     sv = np.linalg.svd(V, compute_uv=False)
     if sv[-1] <= rtol * sv[0]:
         raise LinalgError("general_eig: matrix is defective beyond tolerance")
     return w, V
+
+
+def phase_normalize(M):
+    """M with each column (a 1-d M is one column) divided by the unit phase of
+    its first largest-modulus entry, which becomes positive real."""
+    M = np.asarray(M)
+    cols = M.reshape(len(M), -1)
+    top = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
+    # each phase p / |p| on a numpy scalar: the array form rounds differently
+    return M / np.array([p / abs(p) for p in top]).reshape(M.shape[1:])
 
 
 def rank_of(A, rtol=RANK_RTOL):
@@ -219,6 +228,11 @@ def rank_of(A, rtol=RANK_RTOL):
 def unitary_defect(g):
     A = square(g)
     return float(np.abs(A.conj().T @ A - np.eye(A.shape[0])).max())
+
+
+def skew_part(L):
+    """(L - L*) / 2, over the last two axes."""
+    return (L - L.conj().swapaxes(-1, -2)) / 2
 
 
 def skew_defect(L):

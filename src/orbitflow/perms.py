@@ -15,10 +15,6 @@ def check_perm(w):
     return w
 
 
-def identity_perm(n):
-    return tuple(range(1, n + 1))
-
-
 def longest_perm(n):
     """w_0: the order-reversing permutation i -> n+1-i."""
     return tuple(range(n, 0, -1))

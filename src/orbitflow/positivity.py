@@ -179,8 +179,7 @@ def is_plucker_nonneg(rep, K, tol=1e-9):
             top = mag.max()
             if top <= 0.0:
                 raise DomainError("is_plucker_nonneg: degenerate representative")
-            ph = vals.flat[int(np.argmax(mag))]
-            yield rows, cols, vals / (ph / abs(ph)), top
+            yield rows, cols, linalg.phase_normalize(vals), top
 
     return _verdict(batches(), tol, note=note,
                     nonreal_note="non-real coordinate after phase normalization")

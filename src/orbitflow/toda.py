@@ -26,11 +26,8 @@ def toda_symes(P, t, max_exp=14.0):
     L = P.L.astype(complex)
     for _ in range(nch):
         w, W = linalg.herm_eig(1j * L)
-        ex = -dt * w
-        ex = ex - ex.max()
-        Q = linalg.k_factor((W * np.exp(ex)[None, :]) @ W.conj().T)
-        L = Q.conj().T @ L @ Q
-        L = (L - L.conj().T) / 2
+        Q = linalg.k_factor(linalg.exp_eig(w, W, -dt))
+        L = linalg.skew_part(Q.conj().T @ L @ Q)
     return OrbitPoint(L, lam.copy(), tuple(P.K))
 
 
@@ -42,15 +39,10 @@ def toda_ode(P, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
         B = linalg._k_project(-1j * L)
         return L @ B - B @ L
 
-    def project(L):
-        return (L - L.conj().T) / 2
-
-    def build(times, h):
-        mats = flows._integrate(f, P.L.astype(complex), times, h, project)
-        return [OrbitPoint(M, P.lam.copy(), tuple(P.K)) for M in mats]
-
     N = -1j * np.diag(P.lam)   # diagnostics only: Lyapunov values along the flow
-    return flows._drift_controlled(build, P, N, t1, t0, step, tol, samples)
+    return flows._drift_controlled(f, P.L.astype(complex), linalg.skew_part,
+                                   lambda L: OrbitPoint(L, P.lam.copy(), tuple(P.K)),
+                                   N, t1, t0, step, tol, samples)
 
 
 def toda_twist_residual(P, t):

@@ -69,6 +69,20 @@ def test_flag_to_orbit_identity():
     assert_allclose(P.L, 1j * np.diag(lam), atol=1e-14)
 
 
+def test_flag_to_orbit_keeps_its_own_spectrum():
+    lam = np.array([3.0, 1.0, -2.0])
+    P = flagorbit.flag_to_orbit(flagorbit.flag_from_matrix(np.eye(3)), lam)
+    lam[0] = 5.0
+    assert P.lam.tolist() == [3.0, 1.0, -2.0]
+
+
+def test_orbit_point_keeps_its_own_spectrum():
+    lam = np.array([3.0, 1.0, -2.0])
+    P = flagorbit.orbit_point(1j * np.diag(lam), lam=lam)
+    lam[0] = 5.0
+    assert P.lam.tolist() == [3.0, 1.0, -2.0]
+
+
 def test_flag_to_orbit_rotation_closed_form():
     a = 0.8
     l1, l2 = 2.0, -1.0

@@ -1,5 +1,6 @@
 """orbitflow imports only numpy: scipy loads on the first call of the two
-functions that need it, linalg.mat_exp and ampli.in_conic_hull."""
+functions that need it, linalg.mat_exp and ampli.in_conic_hull, and
+`orbitflow verify` calls neither."""
 
 import json
 import os
@@ -44,3 +45,25 @@ def test_import_loads_no_scipy_and_lazy_calls_work():
     assert np.abs(E - expected).max() < 1e-12
     assert got["hull"] == [True, False]
     assert got["scipy_after_calls"]
+
+
+VERIFY_CHILD = r"""
+import io, json, sys
+from orbitflow.cli import main
+
+buf = io.StringIO()
+rc = main(["verify"], out=buf)
+print(json.dumps({"rc": rc, "out": buf.getvalue(),
+                  "scipy": sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))}))
+"""
+
+
+def test_verify_passes_without_loading_scipy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", VERIFY_CHILD], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    got = json.loads(res.stdout)
+    assert got["rc"] == 0
+    lines = got["out"].splitlines()
+    assert len(lines) == 5 and all(line.endswith(": PASS") for line in lines)
+    assert got["scipy"] == []

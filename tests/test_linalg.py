@@ -62,7 +62,7 @@ def test_laplace_expansion():
     for I in linalg.index_sets(5, 2):
         total = 0.0
         for J in linalg.index_sets(5, 2):
-            sgn = (-1) ** (linalg.sum_of(I) + linalg.sum_of(J))
+            sgn = (-1) ** (sum(I) + sum(J))
             rest_I = tuple(i for i in range(1, 6) if i not in I)
             rest_J = tuple(j for j in range(1, 6) if j not in J)
             total += sgn * linalg.minor(M, I, J) * linalg.minor(M, rest_I, rest_J)
@@ -78,7 +78,7 @@ def test_jacobi_formula():
         for I in linalg.index_sets(5, k):
             for J in linalg.index_sets(5, k):
                 lhs = linalg.minor(ginv, I, J)
-                sgn = (-1) ** (linalg.sum_of(I) + linalg.sum_of(J))
+                sgn = (-1) ** (sum(I) + sum(J))
                 rest_I = tuple(i for i in range(1, 6) if i not in I)
                 rest_J = tuple(j for j in range(1, 6) if j not in J)
                 rhs = sgn / det * linalg.minor(g, rest_J, rest_I)
@@ -243,6 +243,39 @@ def test_general_eig_residual_random():
     g = rand_complex(rng, (4, 4))
     w, V = linalg.general_eig(g)
     assert np.abs(g @ V - V @ np.diag(w)).max() < 1e-8 * max(1.0, np.abs(g).max())
+
+
+def phase_normalize_loop(M):
+    """Each column divided by ph / abs(ph), ph its first largest-modulus entry,
+    one column at a time on numpy scalars."""
+    A = np.array(M)
+    cols = A if A.ndim == 2 else A[:, None]
+    for j in range(cols.shape[1]):
+        col = cols[:, j]
+        ph = col[int(np.argmax(np.abs(col)))]
+        cols[:, j] = col / (ph / abs(ph))
+    return A
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_phase_normalize_matches_column_loop_bit_for_bit(n):
+    rng = np.random.default_rng(40 + n)
+    for M in (rng.normal(size=(n, n)), rand_complex(rng, (n, n)), rand_complex(rng, (n, 3)),
+              rng.normal(size=n), rand_complex(rng, n)):
+        got = linalg.phase_normalize(M)
+        ref = phase_normalize_loop(M)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_phase_normalize_first_tied_maximum_wins():
+    M = np.array([[0.5, 2.0], [-2.0, 2j], [2j, -2.0], [-2.0, 1.0]])
+    got = linalg.phase_normalize(M)
+    assert got.tobytes() == phase_normalize_loop(M).tobytes()
+    assert got[:, 0].tolist() == [-0.5, 2.0, -2j, 2.0]
+    assert got[:, 1].tolist() == [2.0, 2j, -2.0, 1.0]
+    v = np.array([1j, -1.0, 1.0])
+    assert linalg.phase_normalize(v).tolist() == [1.0, 1j, -1j]
 
 
 def test_general_eig_defective():
