@@ -306,9 +306,9 @@ def cmd_verify(args, out):
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=argparse.SUPPRESS,
-                        help="verdict/drift tolerance (default 1e-9)")
+                        help="verdict tolerance; flow error tolerance (default 1e-9)")
     common.add_argument("--step", type=float, default=argparse.SUPPRESS,
-                        help="integrator step (default 1e-3)")
+                        help="first step the adaptive flow integrator tries (default 1e-3)")
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                         help="RNG seed (default 0)")
     p = argparse.ArgumentParser(prog="orbitflow", parents=[common],

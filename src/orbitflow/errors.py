@@ -14,4 +14,4 @@ class CertificationError(RuntimeError):
 
 
 class DriftError(RuntimeError):
-    """An integrator could not reach the requested spectrum-drift tolerance."""
+    """An integrator's error tolerance is below what double precision can meet."""

@@ -38,6 +38,9 @@ class Trajectory:
     times: np.ndarray
     points: list
     diagnostics: list = field(default_factory=list)
+    accepted: int = 0   # integrator steps; 0 for closed-form trajectories
+    rejected: int = 0
+    max_error: float = 0.0   # largest accepted local error estimate
 
     def max_drift(self):
         return max(d["spectrum_drift"] for d in self.diagnostics)
@@ -175,7 +178,7 @@ def kahler_trajectory(L0, N, t1, t0=0.0, samples=51):
 
 def run(spec, L0, t1, t0=0.0, samples=51):
     """Trajectory of the gradient flow described by a FlowSpec from an orbit
-    point; the Kahler metric evaluates exactly, the others integrate RK4."""
+    point; the Kahler metric evaluates exactly, the others integrate adaptive RK4."""
     if spec.metric == "kahler":
         return kahler_trajectory(L0, spec.N, t1, t0=t0, samples=samples)
     if spec.metric == "normal":
@@ -188,56 +191,68 @@ def run(spec, L0, t1, t0=0.0, samples=51):
     raise LinalgError(f"unknown metric {spec.metric!r}")
 
 
-def _rk4(f, X, dt):
-    k1 = f(X)
+def _rk4(f, X, dt, k1):
+    """One classical RK4 step from X with k1 = f(X); returns the step and its k4."""
     k2 = f(X + (dt / 2) * k1)
     k3 = f(X + (dt / 2) * k2)
     k4 = f(X + dt * k3)
-    return X + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return X + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4), k4
 
 
-def _integrate(f, X0, times, step, project):
-    """RK4 from X0 through each sample time, projecting after every step. A
-    sample interval takes ceil(|span| / step) equal steps, where a ratio within
-    a relative 1e-12 of an integer counts as that integer."""
+def _integrate(f, X0, times, step, tol, project):
+    """Adaptive RK4 from X0 through each sample time, projecting after every step.
+    A step's error estimate |dt| max|k4 - f(X1)| / 6 (the embedded third-order
+    pair; f(X1) is the next k1) must be at most tol |dt| / |t1 - t0|, so tol bounds
+    the sum of accepted estimates. step is the first step tried; with step size h
+    the rest of a sample interval takes ceil(|rest| / h (1 - 1e-12)) equal steps.
+    DriftError when a rejected step's share of tol is below the rounding of X1
+    (eps max|X1|), so rounding alone could exceed tol, or at step * 2**-12."""
     if not (np.isfinite(step) and step > 0):
         raise LinalgError(f"step must be finite and > 0, got {step}")
+    rate = tol / abs(float(times[-1] - times[0]) or 1.0)
+    h, hmin, eps = step, step * 2 ** -12, np.finfo(float).eps
+    X, k1 = X0, f(X0)
     out = [X0]
-    X = X0
+    accepted, rejected, max_error = 0, 0, 0.0
     for ta, tb in zip(times[:-1], times[1:]):
-        span = float(tb - ta)
-        nsub = max(1, int(ceil(abs(span) / step * (1 - 1e-12))))
-        dt = span / nsub
-        for _ in range(nsub):
-            X = project(_rk4(f, X, dt))
+        span, done = float(tb - ta), 0.0   # progress from ta keeps the scale of span, not of t
+        while done != span:
+            rest = span - done
+            nsub = max(1, int(ceil(abs(rest) / h * (1 - 1e-12))))
+            dt = rest / nsub
+            X1, k4 = _rk4(f, X, dt, k1)
+            X1 = project(X1)
+            f1 = f(X1)
+            err = abs(dt) * float(np.abs(k4 - f1).max()) / 6
+            bound = rate * abs(dt)
+            if err <= bound:
+                X, k1, done = X1, f1, span if nsub == 1 else done + dt
+                accepted += 1
+                max_error = max(max_error, err)
+            else:
+                rejected += 1
+                if bound <= eps * float(np.abs(X1).max()) or abs(dt) <= hmin:
+                    raise DriftError(f"tol {tol:.3e} cannot be met: error {err:.3e} at step {dt:.3e}")
+            h = abs(dt) * (5.0 if err == 0 else min(5.0, max(0.2, 0.9 * (bound / err) ** 0.25)))
         out.append(X)
-    return out
+    return out, accepted, rejected, max_error
 
 
-def _drift_controlled(f, X0, project, point, N, t1, t0, step, tol, samples,
-                      min_step_factor=2 ** -12):
-    """Integrate X' = f(X) from X0 with RK4 (see _integrate) and map each sample
-    to an orbit point with point, halving the step until the spectrum drift
-    over the whole trajectory is below tol."""
-    if not tol > 0:   # no drift is below 0 or NaN: every halving would run, then fail
+def _drift_controlled(f, X0, project, point, N, t1, t0, step, tol, samples):
+    """Integrate X' = f(X) from X0 with the adaptive RK4 of _integrate and map
+    each sample to an orbit point with point. The spectrum drift of every sample
+    is reported in the diagnostics; it does not control the step."""
+    if not tol > 0:   # no error estimate is below 0 or NaN
         raise LinalgError(f"tol must be > 0, got {tol}")
     times = _sample_grid(t0, t1, samples)
-    h = step
-    hmin = step * min_step_factor
-    while True:
-        pts = [point(X) for X in _integrate(f, X0, times, h, project)]
-        diags = _diagnose_all(pts, pts[0].lam, N)
-        drift = max(d["spectrum_drift"] for d in diags)
-        if drift < tol:
-            return Trajectory(times, pts, diags)
-        if h <= hmin:
-            raise DriftError(f"spectrum drift {drift:.3e} above tolerance {tol:.3e} at minimum step")
-        h = h / 2
+    Xs, accepted, rejected, max_error = _integrate(f, X0, times, step, tol, project)
+    pts = [point(X) for X in Xs]
+    return Trajectory(times, pts, _diagnose_all(pts, pts[0].lam, N), accepted, rejected, max_error)
 
 
 def normal_flow(L0, N, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
-    """Double-bracket gradient flow dL/dt = [L, [L, N]] in the normal metric.
-    Each sample interval takes ceil(|span| / step) RK4 steps (see _integrate)."""
+    """Double-bracket gradient flow dL/dt = [L, [L, N]] in the normal metric by
+    adaptive RK4: step is the first step, tol bounds the error (see _integrate)."""
     N = linalg.check_skew(N, "flow driver N")
 
     def f(L):
@@ -256,8 +271,8 @@ def _polar_unitary(g):
 
 def induced_flow(g0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
     """Induced-metric gradient flow, integrated on the unitary lift
-    dg/dt = ad_inv_L(N) g with per-step polar re-unitarization. Each sample
-    interval takes ceil(|span| / step) RK4 steps (see _integrate)."""
+    dg/dt = ad_inv_L(N) g by adaptive RK4 with per-step polar re-unitarization:
+    step is the first step, tol bounds the error (see _integrate)."""
     N = linalg.check_skew(N, "flow driver N")
     lam = np.asarray(lam, dtype=float)
     g0 = linalg.as_matrix(g0)
@@ -275,7 +290,8 @@ def induced_flow(g0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
 
 def induced_flow_twisted(h0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
     """Twisted form of the induced flow: dh/dt = -ad_inv(h delta N delta h*) h.
-    The trajectory h(t) stays equal to iota(g(t)) for the untwisted lift."""
+    The trajectory h(t) stays equal to iota(g(t)) for the untwisted lift; it is
+    integrated like induced_flow."""
     N = linalg.check_skew(N, "flow driver N")
     lam = np.asarray(lam, dtype=float)
     n = len(lam)
@@ -396,11 +412,9 @@ def boundary_derivative(metric, lam, N, g0, I, tol=1e-9):
     else:
         gdot = g0 @ (_adinv_coeffs(lam) * (g0.conj().T @ N @ g0))
     rows = [i - 1 for i in I]
-    total = 0.0 + 0.0j
-    for j in range(k):
-        block = g0[:, :k].copy()
-        block[:, j] = gdot[:, j]
-        total += linalg._det(block[rows, :])
+    S = np.repeat(g0[None, rows, :k], k, axis=0)   # S[j] is g0's block with column j from gdot
+    S[np.arange(k), :, np.arange(k)] = gdot[rows, :k].T
+    total = sum(linalg._dets(S).tolist(), 0.0 + 0.0j)
     if abs(total.imag) > 1e-8 * max(1.0, abs(total)):
         raise LinalgError("boundary_derivative: non-real derivative")
     return float(total.real)

@@ -32,8 +32,8 @@ def toda_symes(P, t, max_exp=14.0):
 
 
 def toda_ode(P, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
-    """Flaschka form integrated with RK4 and drift-controlled step halving.
-    Each sample interval takes ceil(|span| / step) steps (see flows._integrate)."""
+    """Flaschka form by adaptive RK4: step is the first step, tol bounds the
+    error (see flows._integrate); the spectrum drift is a diagnostic only."""
 
     def f(L):
         B = linalg._k_project(-1j * L)

@@ -5,11 +5,13 @@ reference and requires the same bits (or, for the batched diagnostics, the
 same values within a rounding tolerance).
 """
 
+import time
+
 import numpy as np
 import pytest
 
 from orbitflow import flagorbit, flows, io, jacobi, linalg, toda
-from orbitflow.errors import LinalgError
+from orbitflow.errors import DriftError, LinalgError
 
 
 def random_skew(rng, n):
@@ -58,7 +60,7 @@ class Captured(Exception):
 def test_toda_rhs_matches_checked_projection(monkeypatch):
     rhs = []
 
-    def capture(f, X, dt):
+    def capture(f, X, dt, k1):
         rhs.append(f)
         raise Captured
 
@@ -72,24 +74,149 @@ def test_toda_rhs_matches_checked_projection(monkeypatch):
         assert rhs[0](L).tobytes() == (L @ B - B @ L).tobytes()
 
 
-def test_substep_count_is_not_inflated_by_rounding(monkeypatch):
+def k_project_tril(A):
+    """The np.tril form of linalg._k_project."""
+    K = np.tril(A, -1)
+    K = K - K.conj().T
+    np.fill_diagonal(K, 1j * np.imag(np.diag(A)))
+    return K
+
+
+def test_k_project_matches_tril_form():
+    rng = np.random.default_rng(4)
+    for n in range(1, 9):
+        for _ in range(20):
+            A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            assert linalg._k_project(A).tobytes() == k_project_tril(A).tobytes()
+            assert linalg._k_project(-1j * A).tobytes() == k_project_tril(-1j * A).tobytes()
+
+
+def counting_rk4(monkeypatch):
     calls = []
     rk4 = flows._rk4
 
-    def counting(f, X, dt):
+    def counting(f, X, dt, k1):
         calls.append(dt)
-        return rk4(f, X, dt)
+        return rk4(f, X, dt, k1)
 
     monkeypatch.setattr(flows, "_rk4", counting)
+    return calls
+
+
+def test_substep_count_is_not_inflated_by_rounding(monkeypatch):
+    calls = counting_rk4(monkeypatch)
     P = jacobi.jacobi_from_moser(jacobi.moser_data([1.0, 0.0, -1.0], [1.0, 2.0, 0.5]))
-    toda.toda_ode(P, 0.2)
-    assert len(calls) == 200
-    calls.clear()
-    toda.toda_ode(P, 1.0, samples=11)
-    assert len(calls) == 1000
-    calls.clear()
-    toda.toda_ode(P, 0.2, step=3e-3, samples=3)   # 0.1 / 3e-3 = 33.3: rounds up
-    assert len(calls) == 68
+    for kwargs, most in [(dict(t1=0.2), 51), (dict(t1=1.0, samples=11), 187),
+                         (dict(t1=0.2, step=3e-3, samples=3), 34),
+                         (dict(t1=0.2, step=np.nextafter(0.004, 0.0)), 50)]:   # span / step = 1 + ulp
+        calls.clear()
+        traj = toda.toda_ode(P, **kwargs)
+        assert len(traj.times) - 1 <= len(calls) <= most   # at least one step per sample interval
+
+
+def test_trajectory_counts_every_rk4_step(monkeypatch):
+    calls = counting_rk4(monkeypatch)
+    rng = np.random.default_rng(15)
+    lam = np.array([1.5, 0.5, -0.25, -1.0])
+    P0 = random_orbit_point(rng, lam)
+    N = random_skew(rng, 4)
+    g0 = flagorbit.orbit_to_flag(P0).rep
+    runs = [lambda: flows.normal_flow(P0, N, 0.5, step=0.05, samples=3),
+            lambda: flows.induced_flow(g0, N, lam, 0.5, step=0.05, tol=1e-10, samples=3),
+            lambda: flows.induced_flow_twisted(g0, N, lam, 0.5, samples=5),
+            lambda: toda.toda_ode(P0, 1.0, step=0.2, samples=3)]
+    rejected = []
+    for run in runs:
+        calls.clear()
+        traj = run()
+        assert traj.accepted == len(calls) - traj.rejected
+        assert traj.accepted > 0 and 0.0 < traj.max_error
+        rejected.append(traj.rejected)
+    assert any(rejected)   # the count is checked with rejected steps too
+    kahler = flows.kahler_trajectory(P0, N, 0.5, samples=3)
+    assert (kahler.accepted, kahler.rejected, kahler.max_error) == (0, 0, 0.0)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_toda_error_against_symes_is_within_tol(n, tol, monkeypatch):
+    calls = counting_rk4(monkeypatch)
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(n, n))
+    L0 = flagorbit.orbit_point(1j * (A + A.T) / 2)
+    traj = toda.toda_ode(L0, 5.0, samples=11, tol=tol)
+    worst = max(np.abs(toda.toda_symes(L0, float(t)).L - Q.L).max()
+                for t, Q in zip(traj.times, traj.points))
+    assert worst <= tol
+    # each accepted estimate is within its step's share of tol
+    assert traj.max_error <= tol * max(abs(dt) for dt in calls) / 5.0
+
+
+@pytest.mark.parametrize("tol", [1e-300, 1e-16])
+def test_unmeetable_tol_raises_at_once(tol):
+    rng = np.random.default_rng(16)
+    lam = np.array([2.0, 0.5, -0.3, -1.0])
+    P = jacobi.jacobi_from_moser(jacobi.moser_data(lam, [1.0, 0.7, 0.4, 0.9]))
+    N = random_skew(rng, 4)
+    g0 = flagorbit.orbit_to_flag(P).rep
+    for run in [lambda: toda.toda_ode(P, 0.1, tol=tol),
+                lambda: flows.normal_flow(P, N, 0.1, tol=tol),
+                lambda: flows.induced_flow(g0, N, lam, 0.1, tol=tol)]:
+        start = time.perf_counter()
+        with pytest.raises(DriftError, match="cannot be met"):
+            run()
+        assert time.perf_counter() - start < 0.1
+
+
+def boundary_derivative_loop(metric, lam, N, g0, I):
+    """flows.boundary_derivative as one single-matrix determinant per column,
+    summed left to right."""
+    g0 = linalg.as_matrix(g0)
+    if metric == "kahler":
+        gdot = flows._kahler_rep_derivative(g0, N)
+    elif metric == "normal":
+        L0 = g0 @ (1j * np.diag(lam)) @ g0.conj().T
+        gdot = -(L0 @ N - N @ L0) @ g0
+    else:
+        gdot = g0 @ (flows._adinv_coeffs(lam) * (g0.conj().T @ N @ g0))
+    k = len(I)
+    rows = [i - 1 for i in I]
+    total = 0.0 + 0.0j
+    for j in range(k):
+        block = g0[:, :k].copy()
+        block[:, j] = gdot[:, j]
+        total += linalg._det(block[rows, :])
+    return float(total.real)
+
+
+def test_boundary_derivative_matches_per_column_determinants():
+    rng = np.random.default_rng(17)
+    checked = 0
+    for n in (3, 4, 5):
+        configs = [(g0, I) for g0, I, _ in flows.normal_audit_configs_n3()] if n == 3 else []
+        for j in range(1, n):   # the identity-start boundary configurations of acceptance 07
+            for i in range(j + 1, n + 1):
+                configs.append((np.eye(n), tuple(sorted(set(range(1, j)) | {i}))))
+                if i >= j + 2:
+                    configs.append((np.eye(n), tuple(sorted(set(range(1, j)) | {j + 1, i}))))
+        for k in range(1, n):   # dense starts whose minor vanishes through a zero row
+            I = tuple(sorted(rng.choice(np.arange(1, n + 1), size=k, replace=False)))
+            g0 = rng.normal(size=(n, n))   # real, so that every derivative is real
+            g0[I[-1] - 1, :k] = 0.0
+            configs.append((g0, I))
+        for _ in range(4):
+            lam = np.sort(rng.normal(size=n))[::-1] * 2
+            A = rng.normal(size=(n, n))
+            N = -1j * (A + A.T) / 2
+            for g0, I in configs:
+                if abs(linalg.left_minor(g0, I)) > 1e-10:
+                    continue
+                for metric in flows.METRICS:
+                    got = flows.boundary_derivative(metric, lam, N, g0, I)
+                    assert np.float64(got).tobytes() == np.float64(
+                        boundary_derivative_loop(metric, lam, N, g0, I)).tobytes()
+                    checked += 1
+    assert checked > 300
 
 
 def test_diagnose_all_matches_per_point_diagnostics():
