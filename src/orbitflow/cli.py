@@ -169,11 +169,10 @@ def cmd_toda(args, out):
         _emit({"max_twist_residual": res}, out)
         return 0
     if args.cross_check:
-        times = flows._sample_grid(args.t0, args.t1, args.samples)
         traj = toda.toda_ode(P, args.t1, t0=args.t0, step=args.step,
                              tol=args.tol, samples=args.samples)
-        res = max(float(np.abs(toda.toda_symes(P, float(t)).L - Q.L).max())
-                  for t, Q in zip(times, traj.points))
+        res = max(float(np.abs(toda.toda_symes(P, float(t)).L - L).max())
+                  for t, L in zip(traj.times, traj.L))
         _emit({"max_residual": res}, out)
         return 0
     if args.ode:
@@ -181,8 +180,8 @@ def cmd_toda(args, out):
                              tol=args.tol, samples=args.samples)
     else:
         times = flows._sample_grid(args.t0, args.t1, args.samples)
-        pts = [toda.toda_symes(P, float(t)) for t in times]
-        traj = flows.Trajectory(times, pts, flows._diagnose_all(pts, P.lam, -1j * np.diag(P.lam)))
+        traj = flows.Trajectory(times, [toda.toda_symes(P, float(t)) for t in times])
+        traj.diagnostics = flows._diagnose_all(traj.L, P.lam, -1j * np.diag(P.lam))
     _emit_lines(io.trajectory_csv_lines(traj), out)
     return 0
 

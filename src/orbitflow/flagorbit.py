@@ -85,8 +85,10 @@ def orbit_point(L, lam=None, tol=1e-8):
 
 
 def orbit_from_rep(g, lam, K):
-    """The orbit point g (i diag lam) g*, skew part taken, with its own copy of lam."""
-    L = g @ (1j * np.diag(lam)) @ g.conj().T
+    """The orbit point g (i diag lam) g*, skew part taken, with its own copy of lam.
+    A (..., n, n) stack of representatives gives one OrbitPoint whose L is the
+    stack of their points."""
+    L = g @ (1j * np.diag(lam)) @ g.conj().swapaxes(-1, -2)
     return OrbitPoint(linalg.skew_part(L), np.array(lam, dtype=float), tuple(K))
 
 

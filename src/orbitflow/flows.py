@@ -8,7 +8,7 @@ equation dL/dt = [L, [L, N]]; the induced flow lifts to the unitary group as
 dg/dt = ad_inv_L(N) g.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
@@ -33,17 +33,29 @@ class FlowSpec:
     tol: float = 1e-8
 
 
-@dataclass
 class Trajectory:
-    times: np.ndarray
-    points: list
-    diagnostics: list = field(default_factory=list)
-    accepted: int = 0   # integrator steps; 0 for closed-form trajectories
-    rejected: int = 0
-    max_error: float = 0.0   # largest accepted local error estimate
+    """Flow samples: at times[i], the point L[i] of one (samples, n, n) stack L
+    on the orbit of lam, with dimension set K. points is a list of OrbitPoints
+    (lam and K from the first) or one OrbitPoint whose L is the stack. Integrator
+    steps and the largest accepted error estimate, and the Kahler QRs (chunks),
+    are 0 where they do not apply."""
+
+    def __init__(self, times, points, diagnostics=None, accepted=0, rejected=0,
+                 max_error=0.0, chunks=0):
+        if not isinstance(points, OrbitPoint):
+            points = OrbitPoint(np.stack([P.L for P in points]), points[0].lam, points[0].K)
+        self.times, self.L, self.lam, self.K = times, points.L, points.lam, points.K
+        self.diagnostics = diagnostics or []
+        self.accepted, self.rejected, self.max_error, self.chunks = accepted, rejected, max_error, chunks
+
+    @property
+    def points(self):
+        """One OrbitPoint per sample, viewing the stack, each with its own copy of lam."""
+        return [OrbitPoint(L, self.lam.copy(), self.K) for L in self.L]
 
     def max_drift(self):
-        return max(d["spectrum_drift"] for d in self.diagnostics)
+        """Largest spectrum drift of a sample from lam."""
+        return float(_spectrum_drift(self.L, self.lam).max())
 
 
 def killing(L, M):
@@ -97,13 +109,19 @@ def image_component(P, M):
     return U @ np.where(_offcluster_mask(P.lam), U.conj().T @ M @ U, 0.0) @ U.conj().T
 
 
-def _kahler_rep(g, mu, W, t, max_exp=14.0):
-    """k_factor(exp(t iN) g) from the spectrum mu and eigenbasis W of iN, in chunks."""
-    nch = linalg.split_chunks(t, float(mu[0] - mu[-1]), max_exp)
-    dt = t / nch
-    for _ in range(nch):
-        g = linalg.k_factor(linalg.exp_eig(mu, W, dt) @ g)
-    return g
+def _kahler_rep(g, mu, W, times, max_exp=14.0):
+    """The (samples, n, n) stack of k_factor(exp(t iN) g) over t in times, from the
+    spectrum mu and eigenbasis W of iN, and its number of QRs. A time of nch chunks
+    takes nch steps t / nch; round c factors the samples of over c chunks at once."""
+    times = np.asarray(times, dtype=float)
+    diam = float(mu[0] - mu[-1])
+    nch = np.array([linalg.split_chunks(t, diam, max_exp) for t in times.tolist()])
+    E = linalg.exp_eig(mu, W, (times / nch)[:, None])
+    G = linalg.k_factor(E @ g)
+    for c in range(1, nch.max()):
+        act = nch > c
+        G[act] = linalg.k_factor(E[act] @ G[act])
+    return G, int(nch.sum())
 
 
 def kahler_rep_flow(g0, N, t, max_exp=14.0):
@@ -113,19 +131,21 @@ def kahler_rep_flow(g0, N, t, max_exp=14.0):
     keeps the QR numerically meaningful for large |t| * spectral diameter.
     """
     mu, W = linalg.herm_eig(1j * linalg.check_skew(N, "flow driver N"))
-    return _kahler_rep(linalg.as_matrix(g0), mu, W, t, max_exp)
+    return _kahler_rep(linalg.as_matrix(g0), mu, W, (t,), max_exp)[0][0]
 
 
 def _kahler_points(L0, N, times):
-    """Exact Kahler flow points at each time, from one eigendecomposition of iN and of L0."""
+    """Exact Kahler flow points at each time, as one OrbitPoint whose L is their
+    stack, from one eigendecomposition of iN and of L0; and the number of QRs."""
     mu, W = linalg.herm_eig(1j * linalg.check_skew(N, "flow driver N"))
-    U = _eig_rep(L0)
-    return [flagorbit.orbit_from_rep(_kahler_rep(U, mu, W, float(t)), L0.lam, L0.K) for t in times]
+    G, chunks = _kahler_rep(_eig_rep(L0), mu, W, times)
+    return flagorbit.orbit_from_rep(G, L0.lam, L0.K), chunks
 
 
 def kahler_flow(L0, N, t):
     """Exact Kahler-metric gradient flow point at time t."""
-    return _kahler_points(L0, N, (t,))[0]
+    P = _kahler_points(L0, N, (t,))[0]
+    return OrbitPoint(P.L[0], P.lam, P.K)
 
 
 def kahler_flow_projection(L0, N, t):
@@ -147,19 +167,22 @@ def _from_projections(lam, K, frames):
     return OrbitPoint(linalg.skew_part(1j * M), lam.copy(), tuple(K))
 
 
-def _diagnose_all(points, lam0, N):
+def _spectrum_drift(L, lam):
+    """max |spec(-iL) - lam| (decreasing spectrum) of each matrix of a (samples, n, n) stack."""
+    return np.abs(np.linalg.eigvalsh(-1j * L)[:, ::-1] - lam).max(axis=1)
+
+
+def _diagnose_all(L, lam0, N):
     """Spectrum drift, skew defect and Lyapunov value -kappa(L, N) of every
-    point, each computed on the whole (samples, n, n) stack at once."""
+    point of a (samples, n, n) stack L, each computed on the whole stack at once."""
     N = linalg.check_skew(N, "killing: second argument")
-    L = np.stack([P.L for P in points])
     if not np.all(np.isfinite(L)):
         raise LinalgError("matrix entries must be finite")
-    w = np.linalg.eigvalsh(-1j * L)[:, ::-1]
     n = L.shape[1]
     kappa = 2 * n * np.trace(L @ N, axis1=1, axis2=2) - 2 * np.trace(L, axis1=1, axis2=2) * np.trace(N)
     skew = np.abs(L + L.conj().swapaxes(1, 2)).max(axis=(1, 2))
     return [{"spectrum_drift": float(d), "unitarity_drift": float(u), "lyapunov": -float(k)}
-            for d, u, k in zip(np.abs(w - lam0).max(axis=1), skew, kappa.real)]
+            for d, u, k in zip(_spectrum_drift(L, lam0), skew, kappa.real)]
 
 
 def _sample_grid(t0, t1, samples):
@@ -171,9 +194,10 @@ def _sample_grid(t0, t1, samples):
 
 
 def kahler_trajectory(L0, N, t1, t0=0.0, samples=51):
+    """Exact Kahler flow from L0 at samples times from t0 to t1, as one stack."""
     times = _sample_grid(t0, t1, samples)
-    pts = _kahler_points(L0, N, times)
-    return Trajectory(times, pts, _diagnose_all(pts, L0.lam, N))
+    P, chunks = _kahler_points(L0, N, times)
+    return Trajectory(times, P, _diagnose_all(P.L, L0.lam, N), chunks=chunks)
 
 
 def run(spec, L0, t1, t0=0.0, samples=51):
@@ -240,14 +264,14 @@ def _integrate(f, X0, times, step, tol, project):
 
 def _drift_controlled(f, X0, project, point, N, t1, t0, step, tol, samples):
     """Integrate X' = f(X) from X0 with the adaptive RK4 of _integrate and map
-    each sample to an orbit point with point. The spectrum drift of every sample
-    is reported in the diagnostics; it does not control the step."""
+    the stack of samples to orbit points with point. The spectrum drift of every
+    sample is reported in the diagnostics; it does not control the step."""
     if not tol > 0:   # no error estimate is below 0 or NaN
         raise LinalgError(f"tol must be > 0, got {tol}")
     times = _sample_grid(t0, t1, samples)
     Xs, accepted, rejected, max_error = _integrate(f, X0, times, step, tol, project)
-    pts = [point(X) for X in Xs]
-    return Trajectory(times, pts, _diagnose_all(pts, pts[0].lam, N), accepted, rejected, max_error)
+    P = point(np.stack(Xs))
+    return Trajectory(times, P, _diagnose_all(P.L, P.lam, N), accepted, rejected, max_error)
 
 
 def normal_flow(L0, N, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
@@ -282,10 +306,8 @@ def induced_flow(g0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
     def f(g):
         return g @ (C * (g.conj().T @ N @ g))
 
-    def point(g):
-        return flagorbit.orbit_from_rep(g, lam, K)
-
-    return _drift_controlled(f, g0, _polar_unitary, point, N, t1, t0, step, tol, samples)
+    return _drift_controlled(f, g0, _polar_unitary, lambda g: flagorbit.orbit_from_rep(g, lam, K),
+                             N, t1, t0, step, tol, samples)
 
 
 def induced_flow_twisted(h0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
@@ -305,8 +327,8 @@ def induced_flow_twisted(h0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51
     def f(h):
         return -(C * (h @ Nd @ h.conj().T)) @ h
 
-    def point(h):   # h = iota(g), so the untwisted representative is g = delta h* delta
-        return flagorbit.orbit_from_rep(d @ h.conj().T @ d, lam, K)
+    def point(h):   # h = iota(g), so the untwisted representatives are g = delta h* delta
+        return flagorbit.orbit_from_rep(d @ h.conj().swapaxes(-1, -2) @ d, lam, K)
 
     return _drift_controlled(f, h0, _polar_unitary, point, N, t1, t0, step, tol, samples)
 

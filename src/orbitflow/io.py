@@ -111,32 +111,22 @@ def dumps(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ": "))
 
 
-def _csv_row(first, M):
-    """first, then the re/im parts of M row-major, each as Python's shortest repr."""
-    return ",".join([first, *map(repr, np.asarray(M, dtype=complex).reshape(-1).view(float).tolist())])
+def _csv_lines(first, name, firsts, stack):
+    """A header, then one row per matrix of the stack: its first field, then the
+    re/im parts of the matrix row-major (headers name_re[i][j], name_im[i][j],
+    0-based), each as Python's shortest repr."""
+    stack = np.asarray(stack, dtype=complex)
+    r, c = stack.shape[1:]
+    yield ",".join([first] + [f"{name}_{p}[{i}][{j}]" for i in range(r) for j in range(c) for p in ("re", "im")])
+    for f, row in zip(firsts, stack.reshape(len(stack), -1).view(float).tolist()):
+        yield ",".join([f, *map(repr, row)])
 
 
 def trajectory_csv_lines(traj):
     """CSV rows: t, then interleaved re/im of L row-major (0-based headers)."""
-    n = traj.points[0].L.shape[0]
-    header = ["t"]
-    for i in range(n):
-        for j in range(n):
-            header.append(f"L_re[{i}][{j}]")
-            header.append(f"L_im[{i}][{j}]")
-    yield ",".join(header)
-    for t, P in zip(traj.times, traj.points):
-        yield _csv_row(repr(float(t)), P.L)
+    return _csv_lines("t", "L", [repr(float(t)) for t in traj.times], traj.L)
 
 
 def samples_csv_lines(samples):
     """CSV rows of flattened (k+m) x k representatives, one sample per row."""
-    r, k = samples[0].shape
-    header = ["idx"]
-    for i in range(r):
-        for j in range(k):
-            header.append(f"V_re[{i}][{j}]")
-            header.append(f"V_im[{i}][{j}]")
-    yield ",".join(header)
-    for idx, S in enumerate(samples):
-        yield _csv_row(str(idx), S)
+    return _csv_lines("idx", "V", [str(idx) for idx in range(len(samples))], samples)

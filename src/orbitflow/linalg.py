@@ -126,13 +126,14 @@ class IwasawaFactors:
 
 
 def _qr(g):
-    """Q, R of a square nonsingular g, and the unit phases of diag(R)."""
-    A = square(g)
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] <= RANK_RTOL * sv[0]:
+    """Q, R of a square nonsingular g, and the unit phases of diag(R); an
+    unchecked (..., n, n) stack gives the stacks of each."""
+    A = square(g) if np.ndim(g) == 2 else g
+    sv = np.linalg.svd(A, compute_uv=False).T   # sv[0], sv[-1] are scalars for one matrix
+    if np.count_nonzero(sv[-1] <= RANK_RTOL * sv[0]):
         raise LinalgError("iwasawa: singular input")
     Q, R = np.linalg.qr(A)
-    d = np.diag(R)
+    d = R.diagonal(0, -2, -1)
     return Q, R, d / np.abs(d)
 
 
@@ -146,9 +147,10 @@ def iwasawa(g):
 
 
 def k_factor(g):
-    """The unitary Iwasawa factor of g, equal to iwasawa(g).k_factor."""
+    """The unitary Iwasawa factor of g, equal to iwasawa(g).k_factor; of each
+    matrix of a (..., n, n) stack, in one stacked SVD check and QR."""
     Q, _, phase = _qr(g)
-    return Q * phase[None, :]
+    return Q * phase[..., None, :]
 
 
 def k_project(L):
@@ -156,20 +158,24 @@ def k_project(L):
     return _k_project(square(L))
 
 
-def _k_project(A):
-    """k_project of a complex square array, unchecked (np.tril costs more than the mask)."""
+def _k_project(A, lower=None):
+    """k_project of a complex square array, unchecked; lower, its strictly-lower mask
+    (np.tril costs more), is built here unless the caller passes it."""
     n = A.shape[0]
-    K = np.where(np.arange(n)[:, None] > np.arange(n), A, 0)
+    if lower is None:
+        lower = np.arange(n)[:, None] > np.arange(n)
+    K = np.where(lower, A, 0)
     K = K - K.conj().T
-    K.flat[::n + 1] = 1j * np.imag(np.diag(A))
+    K.flat[::n + 1] = 1j * np.imag(A.flat[::n + 1])
     return K
 
 
 def exp_eig(mu, W, t):
     """exp(t H) for H = W diag(mu) W* with W unitary, scaled by exp(-max(t mu))
-    so that its largest eigenvalue is 1."""
+    so that its largest eigenvalue is 1; a (samples, 1) column of times t gives
+    the (samples, n, n) stack of them."""
     ex = t * mu
-    return (W * np.exp(ex - ex.max())[None, :]) @ W.conj().T
+    return (W * np.exp(ex - ex.max(axis=-1, keepdims=True))[..., None, :]) @ W.conj().T
 
 
 def mat_exp(L):

@@ -34,9 +34,10 @@ def toda_symes(P, t, max_exp=14.0):
 def toda_ode(P, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51):
     """Flaschka form by adaptive RK4: step is the first step, tol bounds the
     error (see flows._integrate); the spectrum drift is a diagnostic only."""
+    lower = np.tri(len(P.lam), k=-1, dtype=bool)   # built once, not on every right-hand side
 
     def f(L):
-        B = linalg._k_project(-1j * L)
+        B = linalg._k_project(-1j * L, lower)
         return L @ B - B @ L
 
     N = -1j * np.diag(P.lam)   # diagnostics only: Lyapunov values along the flow

@@ -225,7 +225,7 @@ def test_diagnose_all_matches_per_point_diagnostics():
     N = random_skew(rng, 4)
     P0 = random_orbit_point(rng, lam)
     pts = flows.kahler_trajectory(P0, N, 2.0, samples=9).points + [random_orbit_point(rng, lam)]
-    for P, d in zip(pts, flows._diagnose_all(pts, lam, N)):
+    for P, d in zip(pts, flows._diagnose_all(np.stack([P.L for P in pts]), lam, N)):
         w, _ = linalg.herm_eig(-1j * P.L)
         lyap = flows.lyapunov(P, N)
         assert abs(d["spectrum_drift"] - np.abs(w - lam).max()) <= 1e-13
@@ -239,9 +239,9 @@ def test_diagnose_all_rejects_bad_points():
     P = random_orbit_point(rng, lam)
     bad = flagorbit.OrbitPoint(np.full((3, 3), np.nan + 0j), lam, P.K)
     with pytest.raises(LinalgError, match="finite"):
-        flows._diagnose_all([P, bad], lam, random_skew(rng, 3))
+        flows._diagnose_all(np.stack([P.L, bad.L]), lam, random_skew(rng, 3))
     with pytest.raises(LinalgError, match="skew-Hermitian"):
-        flows._diagnose_all([P], lam, np.eye(3))
+        flows._diagnose_all(P.L[None], lam, np.eye(3))
 
 
 @pytest.mark.parametrize("t1", [1.0, -3.0, 40.0])
@@ -277,9 +277,10 @@ def test_trajectory_csv_matches_elementwise_repr():
     traj = flows.kahler_trajectory(P0, random_skew(rng, 3), 0.5, samples=5)
     special = np.array([[0.0, -0.0 + 1e-300j, 1e300], [-0.0j, 5e-324, -1.5 - 0.0j],
                         [np.pi, -1e-17j, 123456789.123]])
-    traj.points.append(flagorbit.OrbitPoint(special, lam, P0.K))
-    traj.points.append(flagorbit.OrbitPoint(np.asfortranarray(traj.points[1].L.T), lam, P0.K))
-    traj.times = np.append(traj.times, [0.6, 0.7])
+    extra = [flagorbit.OrbitPoint(special, lam, P0.K),
+             flagorbit.OrbitPoint(np.asfortranarray(traj.points[1].L.T), lam, P0.K)]
+    traj = flows.Trajectory(np.append(traj.times, [0.6, 0.7]), traj.points + extra)
+    assert len(traj.L) == 7
     assert "\n".join(io.trajectory_csv_lines(traj)) == "\n".join(csv_lines_elementwise(traj))
 
 
@@ -318,3 +319,144 @@ def test_trajectories_reject_non_finite_times(t0, t1):
         flows.kahler_trajectory(P0, N, t1, t0=t0, samples=3)
     with pytest.raises(LinalgError, match="finite"):
         flows.normal_flow(P0, N, t1, t0=t0, samples=3)
+
+
+# ---- one (samples, n, n) stack per trajectory --------------------------------
+# The per-sample reference: one SVD check, one QR, one exp_eig and one
+# orbit_from_rep per sample and chunk, each in its one-matrix form.
+
+def k_factor_one(g):
+    sv = np.linalg.svd(g, compute_uv=False)
+    if sv[-1] <= linalg.RANK_RTOL * sv[0]:
+        raise LinalgError("iwasawa: singular input")
+    Q, R = np.linalg.qr(g)
+    d = np.diag(R)
+    return Q * (d / np.abs(d))[None, :]
+
+
+def kahler_rep_loop(g, mu, W, t, max_exp=14.0):
+    nch = linalg.split_chunks(t, float(mu[0] - mu[-1]), max_exp)
+    dt = t / nch
+    for _ in range(nch):
+        ex = dt * mu
+        g = k_factor_one((W * np.exp(ex - ex.max())[None, :]) @ W.conj().T @ g)
+    return g, nch
+
+
+def orbit_L_one(g, lam):
+    L = g @ (1j * np.diag(lam)) @ g.conj().T
+    return (L - L.conj().T) / 2
+
+
+@pytest.mark.parametrize("case", ["plain", "zero_driver", "chunked", "negative_t0"])
+def test_stacked_kahler_matches_per_sample_loop(case):
+    rng = np.random.default_rng(21)
+    for n in (2, 3, 5):
+        lam = np.sort(rng.normal(size=n))[::-1] * (6.0 if case == "chunked" else 1.0)
+        P0 = random_orbit_point(rng, lam)
+        N = 0 * random_skew(rng, n) if case == "zero_driver" else random_skew(rng, n)
+        if case == "chunked":   # a spread spectrum of iN, so long times take many chunks
+            N = N + 1j * np.diag(np.linspace(4.0, -4.0, n))
+        t0, t1 = {"plain": (0.0, 1.0), "zero_driver": (0.0, 3.0), "chunked": (0.0, 40.0),
+                  "negative_t0": (-25.0, 25.0)}[case]
+        traj = flows.kahler_trajectory(P0, N, t1, t0=t0, samples=13)
+        mu, W = linalg.herm_eig(1j * N)
+        U = flows._eig_rep(P0)
+        total = 0
+        for t, L in zip(traj.times, traj.L):
+            g, nch = kahler_rep_loop(U, mu, W, float(t))
+            assert L.tobytes() == orbit_L_one(g, lam).tobytes()
+            total += nch
+        assert traj.chunks == total
+        if case in ("chunked", "negative_t0"):
+            assert total > 2 * len(traj.times)   # several rounds, not all samples in each
+
+
+def test_kahler_chunks_count_the_stacked_qrs(monkeypatch):
+    stacks = []
+    k_factor = linalg.k_factor
+
+    def counting(g):
+        stacks.append(len(g))
+        return k_factor(g)
+
+    rng = np.random.default_rng(22)
+    P0 = random_orbit_point(rng, np.array([3.0, 0.5, -2.0]))
+    N = random_skew(rng, 3) + 1j * np.diag([5.0, 0.0, -5.0])
+    monkeypatch.setattr(linalg, "k_factor", counting)
+    traj = flows.kahler_trajectory(P0, N, 30.0)
+    assert len(stacks) > 1 and traj.chunks == sum(stacks)
+    assert flows.normal_flow(P0, random_skew(rng, 3), 0.1, samples=3).chunks == 0
+
+
+def test_stacked_k_factor_rejects_a_singular_sample():
+    rng = np.random.default_rng(23)
+    good = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    singular = good.copy()
+    singular[:, 2] = singular[:, 0]
+    with pytest.raises(LinalgError) as ref:
+        k_factor_one(singular)
+    with pytest.raises(LinalgError) as got:
+        linalg.k_factor(np.stack([good, singular, good]))
+    assert str(got.value) == str(ref.value) == "iwasawa: singular input"
+    mu, W = linalg.herm_eig(1j * random_skew(rng, 3))
+    with pytest.raises(LinalgError, match=r"^iwasawa: singular input$"):
+        flows._kahler_rep(singular, mu, W, np.array([0.5, 1.0]))
+    with pytest.raises(LinalgError, match=r"^iwasawa: singular input$"):
+        flows.kahler_rep_flow(singular, random_skew(rng, 3), 0.5)
+
+
+def recording_integrate(monkeypatch):
+    samples = []
+    integrate = flows._integrate
+
+    def recording(*args):
+        res = integrate(*args)
+        samples.append([X.copy() for X in res[0]])
+        return res
+
+    monkeypatch.setattr(flows, "_integrate", recording)
+    return samples
+
+
+def test_stacked_point_maps_of_the_induced_flows(monkeypatch):
+    samples = recording_integrate(monkeypatch)
+    rng = np.random.default_rng(24)
+    for n in (2, 4, 5):
+        lam = np.sort(rng.normal(size=n))[::-1]
+        if n == 4:
+            lam[1] = lam[0]   # a cluster: K drops a dimension
+        g0 = linalg.k_factor(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        N = random_skew(rng, n)
+        d = np.diag([(-1.0) ** i for i in range(n)])
+        samples.clear()
+        traj = flows.induced_flow(g0, N, lam, 0.2, samples=7)
+        twisted = flows.induced_flow_twisted(d @ g0.conj().T @ d, N, lam, 0.2, samples=7)
+        plain, lifted = samples
+        assert len(plain) == len(traj.L) == len(lifted) == len(twisted.L) == 7
+        for g, h, L, M in zip(plain, lifted, traj.L, twisted.L):
+            assert L.tobytes() == orbit_L_one(g, lam).tobytes()
+            assert M.tobytes() == orbit_L_one(d @ h.conj().T @ d, lam).tobytes()
+        assert traj.K == twisted.K == linalg.multiplicity_set(lam)
+
+
+def test_trajectory_points_have_their_own_lam():
+    rng = np.random.default_rng(25)
+    lam = np.array([1.0, 0.0, -1.0])
+    P0 = random_orbit_point(rng, lam)
+    for traj in (flows.kahler_trajectory(P0, random_skew(rng, 3), 1.0, samples=4),
+                 toda.toda_ode(P0, 0.1, samples=4)):
+        pts = traj.points
+        pts[0].lam[0] = 99.0
+        assert pts[1].lam.tobytes() == lam.tobytes()
+        assert traj.lam.tobytes() == traj.points[0].lam.tobytes() == lam.tobytes()
+        assert pts[2].L.tobytes() == traj.L[2].tobytes()
+
+
+def test_max_drift_without_diagnostics():
+    P = jacobi.jacobi_from_moser(jacobi.moser_data([2.0, 0.5, -1.0], [1.0, 0.7, 0.4]))
+    times = np.linspace(0.0, 2.0, 5)
+    traj = flows.Trajectory(times, [toda.toda_symes(P, float(t)) for t in times])
+    assert traj.diagnostics == [] and 0.0 <= traj.max_drift() < 1e-12
+    ode = toda.toda_ode(P, 2.0, samples=5)
+    assert ode.max_drift() == max(d["spectrum_drift"] for d in ode.diagnostics)
