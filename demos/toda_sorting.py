@@ -1,5 +1,6 @@
-"""The symmetric Toda flow: closed-form Symes evaluation against the RK4
-integrator, the sorting property, and the twisted-gradient equivalence."""
+"""The symmetric Toda flow: closed-form Symes evaluation against the adaptive
+Dormand-Prince integrator, the sorting property, and the twisted-gradient
+equivalence."""
 
 import numpy as np
 
@@ -13,7 +14,8 @@ print(np.round(np.real(-1j * P.L), 4))
 traj = toda.toda_ode(P, 5.0, samples=11, step=1e-3)
 worst = max(np.abs(toda.toda_symes(P, float(t)).L - Q.L).max()
             for t, Q in zip(traj.times, traj.points))
-print(f"\nSymes closed form vs RK4 over t in [0, 5]: max gap {worst:.2e}")
+print(f"\nSymes closed form vs Dormand-Prince over t in [0, 5]: max gap {worst:.2e}"
+      f" ({traj.accepted} steps for {len(traj.times) - 1} sample intervals)")
 print(f"spectrum drift along the integration:      {traj.max_drift():.2e}")
 
 Lp, Lm = toda.toda_limits(P)

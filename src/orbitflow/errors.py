@@ -14,4 +14,6 @@ class CertificationError(RuntimeError):
 
 
 class DriftError(RuntimeError):
-    """An integrator's error tolerance is below what double precision can meet."""
+    """The flow integrator's error tolerance is below what double precision can
+    meet: a rejected step's share of tol is under the rounding of the step's
+    result, or the step has shrunk to 2**-12 of the first step."""

@@ -15,6 +15,7 @@ from .errors import LinalgError
 
 RANK_RTOL = 1e-9      # singularity threshold, relative to the largest singular value
 CLUSTER_RTOL = 1e-8   # eigenvalue cluster rule, relative to the spectral diameter
+MAX_CHUNKS = 10 ** 5  # closed-form chunks (one QR each) per time; tests, demos and benchmark need <= 30
 
 
 def as_matrix(M):
@@ -293,10 +294,15 @@ def split_chunks(t, diameter, max_exp=14.0):
 
     Closed-form flows through exp() lose relative accuracy like
     eps * exp(dt * diameter); chunking with re-orthonormalization keeps each
-    factor's dynamic range within the working precision.
+    factor's dynamic range within the working precision. A time that needs
+    more than MAX_CHUNKS chunks is refused rather than run for hours.
     """
     if not isfinite(t):
         raise LinalgError(f"time must be finite, got {t}")
     if t == 0.0 or diameter <= 0.0:
         return 1
-    return max(1, int(ceil(abs(t) * diameter / max_exp)))
+    chunks = abs(t) * diameter / max_exp
+    if chunks > MAX_CHUNKS:
+        raise LinalgError(f"time {t:.6g} needs {chunks:.3g} chunks at spectral diameter {diameter:.6g}, "
+                          f"more than {MAX_CHUNKS}")
+    return max(1, int(ceil(chunks)))

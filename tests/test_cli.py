@@ -1,5 +1,6 @@
 import io as sio
 import json
+import time
 
 import numpy as np
 import pytest
@@ -297,6 +298,32 @@ def test_non_finite_times_exit_2(tmp_path, capsys):
         for metric in flows.METRICS:
             assert_malformed(capsys, ["flow", "--metric", metric, "--lambda", "1,-1", "--in", path,
                                       "--t1", t1, "--samples", "3"])
+
+
+def assert_refused_at_once(capsys, argv):
+    start = time.perf_counter()
+    assert_malformed(capsys, argv)
+    assert time.perf_counter() - start < 1.0
+
+
+def jacobi_path(tmp_path):
+    return write_matrix(tmp_path, "J.json", 1j * np.array([[0.0, 1, 0], [1, 0, 1], [0, 1, 0]]))
+
+
+def test_symes_time_beyond_chunk_cap_exits_2(tmp_path, capsys):
+    assert_refused_at_once(capsys, ["toda", "--in", jacobi_path(tmp_path),
+                                    "--t1", "1e15", "--samples", "3"])
+
+
+def test_kahler_time_beyond_chunk_cap_exits_2(tmp_path, capsys):
+    path = jacobi_path(tmp_path)
+    assert_refused_at_once(capsys, ["flow", "--metric", "kahler", "--in", path, "--N", path,
+                                    "--t1", "1e15", "--samples", "3"])
+
+
+def test_limits_time_beyond_chunk_cap_exits_2(tmp_path, capsys):
+    assert_refused_at_once(capsys, ["toda", "--limits", "--in", jacobi_path(tmp_path),
+                                    "--t-max", "1e15"])
 
 
 def test_missing_jacobi_options_exit_2(capsys):

@@ -106,12 +106,57 @@ def counting_rk4(monkeypatch):
 def test_substep_count_is_not_inflated_by_rounding(monkeypatch):
     calls = counting_rk4(monkeypatch)
     P = jacobi.jacobi_from_moser(jacobi.moser_data([1.0, 0.0, -1.0], [1.0, 2.0, 0.5]))
-    for kwargs, most in [(dict(t1=0.2), 51), (dict(t1=1.0, samples=11), 187),
-                         (dict(t1=0.2, step=3e-3, samples=3), 34),
-                         (dict(t1=0.2, step=np.nextafter(0.004, 0.0)), 50)]:   # span / step = 1 + ulp
+    for kwargs, most in [(dict(t1=0.2), 10), (dict(t1=1.0, samples=11), 40),
+                         (dict(t1=0.2, step=3e-3, samples=3), 9),
+                         (dict(t1=0.2, step=np.nextafter(0.004, 0.0)), 9)]:
         calls.clear()
-        traj = toda.toda_ode(P, **kwargs)
-        assert len(traj.times) - 1 <= len(calls) <= most   # at least one step per sample interval
+        toda.toda_ode(P, **kwargs)
+        assert len(calls) <= most   # fewer than the 50 sample intervals at the default samples
+    for t1 in (0.05, -0.05):   # a first step one ulp below the whole span takes it in one step
+        calls.clear()
+        traj = toda.toda_ode(P, t1, step=np.nextafter(abs(t1), 0.0))
+        assert calls == [t1] and traj.accepted == 1 and traj.rejected == 0
+
+
+def recording_steps(monkeypatch):
+    """Record the fifth-order point of every _rk4 call."""
+    steps = []
+    rk4 = flows._rk4
+
+    def recording(f, X, dt, k1):
+        X1, K = rk4(f, X, dt, k1)
+        steps.append(X1.copy())
+        return X1, K
+
+    monkeypatch.setattr(flows, "_rk4", recording)
+    return steps
+
+
+def test_final_sample_is_the_projected_endpoint(monkeypatch):
+    steps = recording_steps(monkeypatch)
+    rng = np.random.default_rng(26)
+    lam = np.array([1.5, 0.5, -0.25, -1.0])
+    P0 = random_orbit_point(rng, lam)
+    g0 = flagorbit.orbit_to_flag(P0).rep
+    N = random_skew(rng, 4)
+    traj = toda.toda_ode(P0, 0.7, samples=9)
+    assert traj.L[-1].tobytes() == linalg.skew_part(steps[-1]).tobytes()
+    samples = recording_integrate(monkeypatch)
+    steps.clear()
+    flows.induced_flow(g0, N, lam, -0.4, samples=9)
+    assert samples[0][-1].tobytes() == flows._polar_unitary(steps[-1]).tobytes()
+
+
+@pytest.mark.parametrize("n", [4, 6])
+def test_tight_toda_takes_fewer_steps_than_the_fixed_grid(n, monkeypatch):
+    calls = counting_rk4(monkeypatch)
+    rng = np.random.default_rng(n)
+    A = rng.normal(size=(n, n))
+    L0 = flagorbit.orbit_point(1j * (A + A.T) / 2)
+    traj = toda.toda_ode(L0, 5.0, samples=11, tol=1e-10)
+    assert len(calls) < 5000   # the old fixed grid of step 1e-3
+    assert max(np.abs(toda.toda_symes(L0, float(t)).L - L).max()
+               for t, L in zip(traj.times, traj.L)) <= 1e-10
 
 
 def test_trajectory_counts_every_rk4_step(monkeypatch):

@@ -311,3 +311,12 @@ def test_check_skew():
 def test_split_chunks_rejects_non_finite_time(t):
     with pytest.raises(LinalgError, match="finite"):
         linalg.split_chunks(t, 1.0)
+
+
+def test_split_chunks_caps_the_chunk_count():
+    cap = linalg.MAX_CHUNKS
+    assert linalg.split_chunks(cap * 14.0, 1.0) == cap
+    with pytest.raises(LinalgError, match=r"^time 1e\+15 needs"):
+        linalg.split_chunks(1e15, 1.0)
+    with pytest.raises(LinalgError, match="more than"):
+        linalg.split_chunks(-1e300, 1e300)   # |t| * diameter overflows to inf
