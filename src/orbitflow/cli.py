@@ -390,6 +390,7 @@ def main(argv=None, out=None):
         for field in ("samples", "count"):
             if getattr(args, field, 1) < 1:
                 raise LinalgError(f"field {field!r} must be >= 1, got {getattr(args, field)}")
+        linalg.check_tol(args.tol)   # refused even where the subcommand reads no tol
         return args.func(args, out)
     except (LinalgError, DomainError, CertificationError, DriftError) as exc:
         print(f"error: {exc}", file=sys.stderr)

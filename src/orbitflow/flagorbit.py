@@ -277,47 +277,48 @@ def eigenflag(g):
     return PartialFlag(len(w), K if K else complete_K(len(w)), rep)
 
 
-def _rank_with_guard(A, tol):
-    """Rank of a submatrix of an orthogonal matrix (singular values <= 1), so
-    the threshold is absolute; values near it abort rather than guess."""
-    if A.size == 0:
-        return 0
-    sv = np.linalg.svd(A, compute_uv=False)
-    if np.any((sv > tol * 1e-2) & (sv < tol * 1e2)):
-        raise DomainError("locate_cell: ambiguous numerical rank near tolerance")
-    return int(np.sum(sv > tol))
+def _corner_ranks(g, tol):
+    """Ranks of the corner submatrices of g, rows i..n (t = 0) or 1..i (t = 1)
+    by columns 1..j, as ranks[t, i-1, j-1], and whether a singular value is in
+    the guard band, as ambiguous[t, i-1, j-1]. See locate_cell."""
+    n = g.shape[0]
+    r = np.arange(n)
+    lo = np.vstack([g, np.zeros((n, n))])[r[:, None] + r]    # [i-1]: rows i..n, moved up
+    hi = g * (r[:, None] <= r[:, None, None])                 # [i-1]: rows 1..i
+    sv = np.linalg.svd(np.stack([lo, hi])[:, :, None] * (r <= r[:, None])[:, None],
+                       compute_uv=False)                      # [t, i-1, j-1]: columns 1..j
+    rows = np.stack([n - r, r + 1])[:, :, None]               # [t, i-1, 0]: row count
+    sv = np.where(r < np.minimum(rows, r + 1)[..., None], sv, 0.0)   # own values only
+    return (sv > tol).sum(-1), ((sv > tol * 1e-2) & (sv < tol * 1e2)).any(-1)
 
 
 def locate_cell(V, tol=linalg.RANK_RTOL):
     """Bruhat cell label (v, w) of a totally nonnegative complete flag.
 
-    w(j) is the row where the rank of the trailing-row submatrices jumps at
-    column j; v(j) likewise with leading rows. Ambiguous ranks abort.
+    w(j) is the largest row i where the rank of the submatrix on rows i..n and
+    columns 1..j of the canonical representative jumps by one at column j;
+    v(j) is the smallest with rows 1..i. The 2n^2 submatrices, zero-padded top
+    left to n x n, go through one stacked SVD; only the leading min(rows, cols)
+    singular values of each, its own, count, not the padding's. The
+    representative is orthogonal, so they are at most 1 and tol is absolute. A
+    value in (tol 1e-2, tol 1e2) aborts rather than guess, at the first such
+    column, w's table first.
     """
+    linalg.check_tol(tol)
     if tuple(V.K) != complete_K(V.n):
         raise DomainError("locate_cell: complete flags only")
     g = np.real(canonical_tnn_rep(V.rep))
     n = V.n
-
-    def rank_lo(i, j):   # rows i..n, cols 1..j
-        return _rank_with_guard(g[i - 1:, :j], tol)
-
-    def rank_hi(i, j):   # rows 1..i, cols 1..j
-        return _rank_with_guard(g[:i, :j], tol)
-
-    w = []
-    for j in range(1, n + 1):
-        cands = [i for i in range(1, n + 1) if rank_lo(i, j) == rank_lo(i, j - 1) + 1]
-        if not cands:
-            raise DomainError("locate_cell: no rank jump found")
-        w.append(max(cands))
-    v = []
-    for j in range(1, n + 1):
-        cands = [i for i in range(1, n + 1) if rank_hi(i, j) == rank_hi(i, j - 1) + 1]
-        if not cands:
-            raise DomainError("locate_cell: no rank jump found")
-        v.append(min(cands))
-    v, w = tuple(v), tuple(w)
+    ranks, ambiguous = _corner_ranks(g, tol)
+    jumps = np.diff(ranks, axis=-1, prepend=0) == 1           # [t, i-1, j-1]
+    for amb, jump in zip(ambiguous, jumps):
+        bad = amb.any(0) | ~jump.any(0)
+        if bad.any():
+            j = int(np.argmax(bad))
+            raise DomainError("locate_cell: ambiguous numerical rank near tolerance" if amb[:, j].any()
+                              else "locate_cell: no rank jump found")
+    w = tuple((n - np.argmax(jumps[0, ::-1], axis=0)).tolist())
+    v = tuple((1 + np.argmax(jumps[1], axis=0)).tolist())
     perms.check_perm(v)
     perms.check_perm(w)
     if not perms.bruhat_leq(v, w):

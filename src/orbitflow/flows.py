@@ -312,8 +312,7 @@ def _drift_controlled(f, X0, project, point, N, t1, t0, step, tol, samples):
     """Integrate X' = f(X) from X0 with the Dormand-Prince 5(4) of _integrate and map
     the stack of samples to orbit points with point. The spectrum drift of every
     sample is reported in the diagnostics; it does not control the step."""
-    if not tol > 0:   # no error estimate is below 0 or NaN
-        raise LinalgError(f"tol must be > 0, got {tol}")
+    linalg.check_tol(tol)
     times = _sample_grid(t0, t1, samples)
     Xs, accepted, rejected, max_error = _integrate(f, X0, times, step, tol, project)
     P = point(Xs)

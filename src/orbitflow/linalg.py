@@ -18,6 +18,13 @@ CLUSTER_RTOL = 1e-8   # eigenvalue cluster rule, relative to the spectral diamet
 MAX_CHUNKS = 10 ** 5  # closed-form chunks (one QR each) per time; tests, demos and benchmark need <= 30
 
 
+def check_tol(tol):
+    """Refuse a tolerance that is not finite and > 0: no verdict, rank or error
+    bound rests on it."""
+    if not (isfinite(tol) and tol > 0):
+        raise LinalgError(f"tol must be finite and > 0, got {tol}")
+
+
 def as_matrix(M):
     A = np.array(M, dtype=complex)
     if A.ndim != 2 or min(A.shape) < 1:

@@ -88,6 +88,7 @@ def is_tp_matrix(M, tol=1e-9):
     Each minor, computed in one batch with all minors of its order, is compared
     against tol times the product of the row norms of its submatrix; n <= 8.
     """
+    linalg.check_tol(tol)
     A = linalg.square(M)
     n = A.shape[0]
     if n > MAX_EXHAUSTIVE_N:
@@ -100,30 +101,28 @@ def is_tp_matrix(M, tol=1e-9):
 
 def is_jacobi_cone(L, tol=1e-9):
     """Certify membership in the tridiagonal cone: tridiagonal with positive
-    (nonnegative) entries immediately above and below the diagonal."""
+    (nonnegative) entries immediately above and below the diagonal. Witness: the
+    first off-band entry (row-major), else the first least of (1,2), (2,1), (2,3), ..."""
+    linalg.check_tol(tol)
     A = linalg.square(L)
     n = A.shape[0]
     scale = max(1.0, float(np.abs(A).max()))
     R = _require_real(A, tol, scale, "is_jacobi_cone")
-    for i in range(n):
-        for j in range(n):
-            if abs(i - j) >= 2 and abs(R[i, j]) > tol * scale:
-                return Verdict(OUTSIDE, Witness((i + 1,), (j + 1,), float(R[i, j])), tol)
-    worst = np.inf
-    worst_w = None
-    for i in range(n - 1):
-        for (a, b) in ((i, i + 1), (i + 1, i)):
-            val = R[a, b] / scale
-            if val < worst:
-                worst = val
-                worst_w = Witness((a + 1,), (b + 1,), float(R[a, b]))
+    i, j = np.indices((n, n))
+    off = (np.abs(i - j) >= 2) & (np.abs(R) > tol * scale)
+    if off.any():
+        a, b = divmod(int(np.argmax(off)), n)
+        return Verdict(OUTSIDE, Witness((a + 1,), (b + 1,), float(R[a, b])), tol)
     if n == 1:
         return Verdict(NONNEGATIVE, None, tol)
-    if worst > tol:
+    rows = np.arange(n - 1).repeat(2) + [0, 1] * (n - 1)   # 0, 1, 1, 2, 2, 3, ...
+    cols = rows + [1, -1] * (n - 1)                         # 1, 0, 2, 1, 3, 2, ...
+    band = R[rows, cols] / scale
+    k = int(np.argmin(band))
+    if band[k] > tol:
         return Verdict(POSITIVE, None, tol)
-    if worst > -tol:
-        return Verdict(NONNEGATIVE, worst_w, tol)
-    return Verdict(OUTSIDE, worst_w, tol)
+    w = Witness((int(rows[k]) + 1,), (int(cols[k]) + 1,), float(R[rows[k], cols[k]]))
+    return Verdict(NONNEGATIVE if band[k] > -tol else OUTSIDE, w, tol)
 
 
 def is_tnn_unitary(g, tol=1e-9):
@@ -133,6 +132,7 @@ def is_tnn_unitary(g, tol=1e-9):
     fast path checks only minors on consecutive rows (Fekete), which suffices
     for positivity. Nonnegativity needs them all, one batch per order.
     """
+    linalg.check_tol(tol)
     A = linalg.square(g)
     n = A.shape[0]
     if linalg.unitary_defect(A) > UNITARY_ATOL:
@@ -160,6 +160,7 @@ def is_plucker_nonneg(rep, K, tol=1e-9):
     this coincides with Lusztig positivity; otherwise only the Plucker notion
     is certified.
     """
+    linalg.check_tol(tol)
     A = linalg.square(rep)
     n = A.shape[0]
     K = tuple(sorted(set(int(k) for k in K)))

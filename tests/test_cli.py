@@ -350,3 +350,19 @@ def test_non_integer_rows_with_n_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"rows": "x", "cols": 3, "data": [[1, 0]] * 9}))
     for kind in ("theta", "iota"):
         assert_malformed(capsys, ["twist", "--map", kind, "--n", "3", "--in", str(path)])
+
+
+@pytest.mark.parametrize("tol", ["0", "-1", "nan", "inf"])
+def test_tol_not_finite_and_positive_exits_2(tmp_path, capsys, tol):
+    eye = write_matrix(tmp_path, "eye.json", np.eye(2))
+    cell = write_matrix(tmp_path, "g.json", [[0.7, -1, 0], [0, 0, -1], [1, 0, 0]])
+    L0 = write_matrix(tmp_path, "L0.json", 1j * np.array([[0.0, 1], [1, 0]]))
+    N = write_matrix(tmp_path, "N.json", 1j * np.array([[0.0, 1], [1, 0]]))
+    for kind in ("tp", "jacobi", "unitary"):
+        assert_malformed(capsys, ["positivity", "--kind", kind, "--in", eye, "--tol", tol])
+    assert_malformed(capsys, ["positivity", "--kind", "plucker", "--K", "1", "--in", eye, "--tol", tol])
+    assert_malformed(capsys, ["cell", "--in", cell, "--tol", tol])
+    for metric in flows.METRICS:
+        assert_malformed(capsys, ["flow", "--metric", metric, "--in", L0, "--N", N,
+                                  "--t1", "1", "--samples", "3", "--tol", tol])
+    assert_malformed(capsys, ["toda", "--ode", "--in", L0, "--t1", "1", "--tol", tol])

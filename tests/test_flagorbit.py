@@ -1,9 +1,11 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from orbitflow import flagorbit, linalg, perms, positivity
-from orbitflow.errors import DomainError
+from orbitflow.errors import DomainError, LinalgError
 
 
 def interior_flag(n, rng):
@@ -353,6 +355,169 @@ def test_locate_cell_examples():
     tw = flagorbit.twist_flag(flagorbit.flag_from_matrix(g))
     c = flagorbit.locate_cell(tw)
     assert (c.v, c.w) == ((1, 3, 2), (2, 3, 1))
+
+
+def reference_cell(V, tol=linalg.RANK_RTOL):
+    """The per-submatrix rank scan locate_cell replaced: one SVD per rank, each
+    guarded, columns in order, w before v. Returns the label or the error text."""
+    g = np.real(flagorbit.canonical_tnn_rep(V.rep))
+    n = V.n
+
+    def rank(A):
+        if A.size == 0:
+            return 0
+        sv = np.linalg.svd(A, compute_uv=False)
+        if np.any((sv > tol * 1e-2) & (sv < tol * 1e2)):
+            raise DomainError("locate_cell: ambiguous numerical rank near tolerance")
+        return int(np.sum(sv > tol))
+
+    def label(sub, pick):
+        out = []
+        for j in range(1, n + 1):
+            cands = [i for i in range(1, n + 1) if rank(sub(i, j)) == rank(sub(i, j - 1)) + 1]
+            if not cands:
+                raise DomainError("locate_cell: no rank jump found")
+            out.append(pick(cands))
+        return tuple(out)
+
+    try:
+        w = label(lambda i, j: g[i - 1:, :j], max)
+        v = label(lambda i, j: g[:i, :j], min)
+    except DomainError as exc:
+        return str(exc)
+    return v, w
+
+
+def cell_or_error(V, tol=linalg.RANK_RTOL):
+    try:
+        c = flagorbit.locate_cell(V, tol)
+    except DomainError as exc:
+        return str(exc)
+    return c.v, c.w
+
+
+def test_locate_cell_matches_reference_on_permutation_cells():
+    for n in (2, 3, 4):
+        for w in permutations(range(1, n + 1)):
+            V = flagorbit.flag_from_matrix(perms.signed_perm(w))
+            got = cell_or_error(V)
+            assert got == reference_cell(V)
+            assert got[1] == w
+
+
+def test_locate_cell_matches_reference_on_random_flags():
+    rng = np.random.default_rng(21)
+    seen = set()
+    for n in range(3, 9):
+        for boundary in (True, True, True, False):
+            V = flagorbit.flag_from_matrix(positivity.sample_tnn_flag(n, rng, boundary=boundary))
+            got = cell_or_error(V)
+            assert got == reference_cell(V)
+            seen.add(got[1] == perms.longest_perm(n))
+    assert seen == {True, False}   # interior flags and proper boundary cells both met
+
+
+def givens(n, k, theta):
+    G = np.eye(n)
+    c, s = np.cos(theta), np.sin(theta)
+    G[k - 1:k + 1, k - 1:k + 1] = [[c, -s], [s, c]]
+    return G
+
+
+def test_locate_cell_guard_band_matches_reference():
+    """A rotation by theta plants a corner singular value sin(theta): inside the
+    band (tol 1e-2, tol 1e2) both scans abort with the same error; outside it
+    both return the same label."""
+    rng = np.random.default_rng(22)
+    ambiguous = 0
+    for n in (3, 4, 5):
+        for theta in (3e-12, 2e-11, 1e-9, 5e-8, 3e-7):
+            for k in range(1, n):
+                w = perms.random_perm(n, rng)
+                V = flagorbit.flag_from_matrix(givens(n, k, theta) @ perms.signed_perm(w))
+                got = cell_or_error(V)
+                assert got == reference_cell(V)
+                ambiguous += got == "locate_cell: ambiguous numerical rank near tolerance"
+    assert ambiguous > 0
+    V = flagorbit.flag_from_matrix(givens(3, 1, 1e-9))
+    with pytest.raises(DomainError, match="ambiguous numerical rank"):
+        flagorbit.locate_cell(V)
+
+
+def plant_in_padding(monkeypatch, value):
+    """Make np.linalg.svd report value, not 0, for every singular value of a
+    stacked matrix beyond its count of nonzero rows or columns."""
+    svd = np.linalg.svd
+
+    def planted(A, *args, **kwargs):
+        sv = svd(A, *args, **kwargs)
+        nz = A != 0
+        k = np.minimum(nz.any(-1).sum(-1), nz.any(-2).sum(-1))
+        return np.where(np.arange(sv.shape[-1]) < k[..., None], sv, value)
+
+    monkeypatch.setattr(np.linalg, "svd", planted)
+
+
+def test_locate_cell_padding_neither_trips_the_guard_nor_counts(monkeypatch):
+    """At tol = 1e-15 the guard band is (1e-17, 1e-13). Padding singular values
+    of 3e-16 (the size a zero-padded LAPACK SVD can leave) would trip it, and
+    ones of 1e-12 would count toward rank; interior flags have corner
+    submatrices of full rank, so every value past the nonzero rows or columns
+    is padding."""
+    rng = np.random.default_rng(23)
+    flags = [interior_flag(n, rng) for n in (3, 4, 5, 6)]
+    expect = [reference_cell(V, 1e-15) for V in flags]
+    assert all(isinstance(e, tuple) for e in expect)
+    assert [cell_or_error(V, 1e-15) for V in flags] == expect
+    for value in (3e-16, 1e-12):
+        with monkeypatch.context() as m:
+            plant_in_padding(m, value)
+            assert [cell_or_error(V, 1e-15) for V in flags] == expect
+
+
+def test_locate_cell_takes_one_svd(monkeypatch):
+    rng = np.random.default_rng(24)
+    for n in (3, 8):
+        V = flagorbit.flag_from_matrix(positivity.sample_tnn_flag(n, rng, boundary=True))
+        calls = []
+        svd = np.linalg.svd
+
+        def counting(A, *args, **kwargs):
+            calls.append(A.shape)
+            return svd(A, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "svd", counting)
+            flagorbit.locate_cell(V)
+        assert calls == [(2, n, n, n, n)]
+
+
+def test_corner_ranks_match_mpmath():
+    """Every rank of the table against 50-digit singular values of the same
+    double-valued submatrices, on boundary flags at n <= 5."""
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(25)
+    tol = linalg.RANK_RTOL
+    for n in (3, 4, 5):
+        for _ in range(3):
+            g = np.real(flagorbit.canonical_tnn_rep(positivity.sample_tnn_flag(n, rng, boundary=True)))
+            ranks, ambiguous = flagorbit._corner_ranks(g, tol)
+            assert not ambiguous.any()
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    for t, sub in enumerate((g[i - 1:, :j], g[:i, :j])):
+                        with mpmath.workdps(50):
+                            sv = mpmath.svd_r(mpmath.matrix(sub.tolist()), compute_uv=False)
+                            exact = sum(1 for s in sv if s > tol)
+                            assert not any(tol * 1e-2 < s < tol * 1e2 for s in sv)
+                        assert ranks[t, i - 1, j - 1] == exact
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_locate_cell_refuses_bad_tol(tol):
+    V = flagorbit.flag_from_matrix(positivity.sample_tnn_flag(5, np.random.default_rng(5), boundary=True))
+    with pytest.raises(LinalgError, match="tol must be finite and > 0"):
+        flagorbit.locate_cell(V, tol=tol)
 
 
 def test_signed_perm_examples():

@@ -344,7 +344,7 @@ def test_integrators_reject_bad_step(step):
         toda.toda_ode(P0, 0.5, step=step, samples=3)
 
 
-@pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan])
+@pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
 def test_drift_control_rejects_tol_it_cannot_meet(tol):
     rng = np.random.default_rng(14)
     P0 = random_orbit_point(rng, np.array([1.0, 0.0, -1.0]))

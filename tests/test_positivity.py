@@ -48,6 +48,73 @@ def test_is_jacobi_cone_examples():
     assert v.witness.rows == (1,) and v.witness.cols == (3,)
 
 
+def reference_jacobi_cone(L, tol=1e-9):
+    """The per-entry loops is_jacobi_cone replaced."""
+    A = linalg.square(L)
+    n = A.shape[0]
+    scale = max(1.0, float(np.abs(A).max()))
+    R = A.real
+    for i in range(n):
+        for j in range(n):
+            if abs(i - j) >= 2 and abs(R[i, j]) > tol * scale:
+                return positivity.Verdict("outside", positivity.Witness((i + 1,), (j + 1,), float(R[i, j])), tol)
+    worst, worst_w = np.inf, None
+    for i in range(n - 1):
+        for (a, b) in ((i, i + 1), (i + 1, i)):
+            val = R[a, b] / scale
+            if val < worst:
+                worst, worst_w = val, positivity.Witness((a + 1,), (b + 1,), float(R[a, b]))
+    if n == 1:
+        return positivity.Verdict("nonnegative", None, tol)
+    if worst > tol:
+        return positivity.Verdict("positive", None, tol)
+    return positivity.Verdict("nonnegative" if worst > -tol else "outside", worst_w, tol)
+
+
+def test_is_jacobi_cone_matches_reference_loop():
+    """Tridiagonal, perturbed off-band and tied inputs: same verdict and witness,
+    the first of tied entries included."""
+    rng = np.random.default_rng(30)
+    cases = [np.eye(1), -np.eye(1), np.zeros((4, 4))]
+    for n in range(2, 8):
+        for _ in range(6):
+            T = np.diag(rng.normal(size=n)) + np.diag(rng.uniform(-0.2, 1, size=n - 1), 1)
+            T += np.diag(rng.uniform(-0.2, 1, size=n - 1), -1)
+            cases.append(T)
+            P = T.copy()
+            if n > 2:
+                for _ in range(2):
+                    i, j = rng.integers(0, n, size=2)
+                    if abs(i - j) >= 2:
+                        P[i, j] = rng.choice([1e-12, -3e-9, 0.5, -0.5])
+                cases.append(P)
+            tied = np.diag(np.ones(n)) + np.diag(np.full(n - 1, 0.3), 1) + np.diag(np.full(n - 1, 0.3), -1)
+            tied[n // 2, n // 2 - 1] = tied[n // 2 - 1, n // 2] = rng.choice([0.0, -0.1, 0.3])
+            if n > 2:
+                tied[0, 2] = tied[2, 0] = rng.choice([0.0, 2e-9, 5.0])
+            cases.append(tied)
+            cases.append(np.diag(rng.integers(-1, 2, size=n - 1).astype(float), 1)
+                         + np.diag(rng.integers(-1, 2, size=n - 1).astype(float), -1))
+    statuses = set()
+    for M in cases:
+        for tol in (1e-9, 1e-3):
+            got = positivity.is_jacobi_cone(M, tol)
+            assert got == reference_jacobi_cone(M, tol)
+            statuses.add((got.status, got.witness is None))
+    assert statuses == {("positive", True), ("nonnegative", True), ("nonnegative", False),
+                        ("outside", False)}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_testers_refuse_bad_tol(tol):
+    g = rotation(0.6)
+    for check in (lambda: positivity.is_tp_matrix(g, tol), lambda: positivity.is_jacobi_cone(g, tol),
+                  lambda: positivity.is_tnn_unitary(g, tol),
+                  lambda: positivity.is_plucker_nonneg(g, (1,), tol)):
+        with pytest.raises(LinalgError, match="tol must be finite and > 0"):
+            check()
+
+
 def test_is_tnn_unitary_rotation():
     assert positivity.is_tnn_unitary(rotation(0.6)).status == "positive"
     assert positivity.is_tnn_unitary(rotation(-0.6)).status == "outside"
