@@ -98,9 +98,11 @@ def canonical_tnn_rep(A, chart_atol=CHART_ATOL):
 
     Column phases are first normalized (largest-modulus entry positive real);
     a residual imaginary part means the flag has no real representative.
-    Column signs are then fixed sequentially by the minor-sum rule, the minors
-    of each order in one batch; a sum at zero means the flag lies outside the
-    chart, and the map is undefined.
+    The chart sums S_k are computed once, on the unflipped representative, each
+    order's minors in one batch summed left to right; |S_k| <= chart_atol means
+    the flag is outside the chart, where the map is undefined. Column k's sign
+    is sign(S_k) sign(S_(k-1)), S_0 = 1: negating a column negates each minor
+    containing it exactly, so this is the column-by-column rule, bit for bit.
     """
     g = linalg.square(A)
     n = g.shape[0]
@@ -110,13 +112,13 @@ def canonical_tnn_rep(A, chart_atol=CHART_ATOL):
     if np.abs(g.imag).max() > 1e-8:
         raise DomainError("canonical_tnn_rep: flag admits no real orthogonal representative")
     gr = np.linalg.qr(g.real)[0]
-    for k in range(1, n + 1):
-        s = sum(linalg.left_minors(gr, linalg.index_sets(n, k))[0].real.tolist())
-        if abs(s) <= chart_atol:
-            raise DomainError("canonical_tnn_rep: flag lies outside the totally nonnegative chart")
-        if s < 0:
-            gr[:, k - 1] = -gr[:, k - 1]
-    return gr.astype(complex)
+    gc = gr.astype(complex)   # complex minors, as left_minors takes them: LU rounds by dtype
+    S = np.array([sum(linalg._dets(gc[:, :k][linalg._rows(linalg.index_sets(n, k))]).real.tolist())
+                  for k in range(1, n + 1)])
+    if np.any(np.abs(S) <= chart_atol):
+        raise DomainError("canonical_tnn_rep: flag lies outside the totally nonnegative chart")
+    sign = np.sign(S)
+    return (gr * sign * np.append(1.0, sign[:-1])).astype(complex)
 
 
 def pluecker(V, k):

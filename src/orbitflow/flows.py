@@ -402,6 +402,7 @@ def classify_kahler(N, lam, tol=1e-9):
     strictness. Other orbits require iN tridiagonal with nonnegative
     (positive for strict) off-diagonal entries.
     """
+    linalg.check_tol(tol)
     A = linalg.square(N)
     lam = np.asarray(lam, dtype=float)
     n = A.shape[0]
@@ -462,6 +463,7 @@ def _kahler_rep_derivative(g0, N):
 def boundary_derivative(metric, lam, N, g0, I, tol=1e-9):
     """First-order derivative at t = 0 of the flag minor Delta_I(g(t)) for a
     boundary configuration (Delta_I(g0) = 0), in the given metric."""
+    linalg.check_tol(tol)
     if metric not in METRICS:
         raise LinalgError(f"unknown metric {metric!r}")
     N = linalg.check_skew(N, "flow driver N")
@@ -520,6 +522,7 @@ def induced_audit_n3(lam, N, tol=1e-9, grid=400):
     criterion max(c/d, d/c) <= 2 + 2 sqrt(2). Admissibility of the inequality
     family is necessary for positivity preservation, not sufficient.
     """
+    linalg.check_tol(tol)
     lam = np.asarray(lam, dtype=float)
     if len(lam) != 3:
         raise LinalgError("induced_audit_n3: n = 3 only")

@@ -51,9 +51,23 @@ def index_set(I, n):
     return I
 
 
+_SETS, _ROWS = {}, {}   # (n, k) -> index_sets(n, k); id of each -> (it, its 0-based index array)
+
+
 def index_sets(n, k):
-    """All k-element subsets of [n] as increasing 1-based tuples."""
-    return tuple(combinations(range(1, n + 1), k))
+    """All k-element subsets of [n] as increasing 1-based tuples, built once per (n, k)."""
+    if (n, k) not in _SETS:
+        sets = _SETS[n, k] = tuple(combinations(range(1, n + 1), k))
+        rows = np.array(sets, dtype=np.intp).reshape(len(sets), k) - 1
+        rows.flags.writeable = False   # one array for every caller
+        _ROWS[id(sets)] = sets, rows   # holding sets keeps its id from being reused
+    return _SETS[n, k]
+
+
+def _rows(sets):
+    """0-based index array of a family of 1-based index sets, index_sets' cached one."""
+    plan = _ROWS.get(id(sets))
+    return np.subtract(sets, 1) if plan is None else plan[1]
 
 
 def inv_count(I, J):
@@ -95,7 +109,7 @@ def minors(M, rows, cols):
     one order k, from one (len(rows), len(cols), k, k) stack of submatrices.
     Returns (minors, scale) of that shape in the dtype of M; scale is the
     product of each submatrix's row norms, or 1 where that is 0."""
-    S = np.asarray(M)[np.subtract(rows, 1)[:, None, :, None], np.subtract(cols, 1)[None, :, None, :]]
+    S = np.asarray(M)[_rows(rows)[:, None, :, None], _rows(cols)[None, :, None, :]]
     s = np.linalg.norm(S, axis=-1).prod(axis=-1)
     return _dets(S), np.where(s > 0.0, s, 1.0)
 
@@ -103,7 +117,7 @@ def minors(M, rows, cols):
 def left_minors(M, rows):
     """minors of one family of row sets on the first columns, 1-d, on complex
     entries like left_minor."""
-    vals, scale = minors(as_matrix(M), rows, (tuple(range(1, len(rows[0]) + 1)),))
+    vals, scale = minors(as_matrix(M), rows, index_sets(len(rows[0]), len(rows[0])))
     return vals[:, 0], scale[:, 0]
 
 

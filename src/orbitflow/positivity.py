@@ -79,7 +79,7 @@ def _verdict(batches, tol, note=None, nonreal_note=None, allow_positive=True):
 
 def _left_sets(n, k):
     """All order-k row sets, and the first k columns as a family of one."""
-    return linalg.index_sets(n, k), (tuple(range(1, k + 1)),)
+    return linalg.index_sets(n, k), linalg.index_sets(k, k)
 
 
 def is_tp_matrix(M, tol=1e-9):
@@ -192,6 +192,7 @@ def is_eventually_tp(L, m_max, tol=1e-9):
     Absence at m_max is not a disproof: the required power can be arbitrarily
     large even for matrices that are eventually totally positive.
     """
+    linalg.check_tol(tol)
     A = linalg.square(L)
     n = A.shape[0]
     if n > MAX_EXHAUSTIVE_N:

@@ -240,6 +240,21 @@ def test_classify_kahler_weak_vs_strict_tridiagonal():
     assert flows.classify_kahler(-1j * iN, lam) == "strict"
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])
+def test_boundary_checks_refuse_bad_tol(tol):
+    N = 1j * np.array([[0.0, 1, 0], [1, 0, 1], [0, 1, 0]])   # iN = -[[0,1,0],[1,0,1],[0,1,0]]
+    lam = [1.0, 0.0, -1.0]
+    g0, I, coeff = flows.normal_audit_configs_n3()[0]
+    for check in (lambda: flows.classify_kahler(N, lam, tol),
+                  lambda: flows.boundary_derivative("normal", lam, N, g0, I, tol),
+                  lambda: flows.induced_audit_n3(lam, N, tol)):
+        with pytest.raises(LinalgError, match="tol must be finite and > 0"):
+            check()
+    assert flows.classify_kahler(N, lam) == "none"   # the default tol keeps its results
+    assert_allclose(flows.boundary_derivative("normal", lam, N, g0, I), coeff(lam, -N.imag), atol=1e-12)
+    assert not flows.induced_audit_n3(lam, N)["admissible"]
+
+
 # -------------------------------------------------------- boundary derivative
 
 def test_boundary_derivative_normal_config():

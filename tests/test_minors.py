@@ -10,7 +10,8 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from orbitflow import flagorbit, linalg, positivity
+from orbitflow import flagorbit, linalg, perms, positivity
+from orbitflow.errors import DomainError
 from orbitflow.positivity import NONNEGATIVE, OUTSIDE, POSITIVE, Verdict, Witness
 
 
@@ -203,16 +204,62 @@ def test_left_minor_verdicts_match_per_minor_reference(n):
         assert {(POSITIVE, None), (NONNEGATIVE, None), ("outside", "non-real minor")} <= statuses
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+def ref_canonical_tnn_rep(g):
+    """canonical_tnn_rep's sign fixing one order at a time: each order's sum is
+    taken on the representative as flipped so far, and column k is negated
+    when it is negative. Returns the representative and the sums' moduli."""
+    gr = np.linalg.qr(phases_fixed(g).real)[0]
+    sums = []
+    for k in range(1, gr.shape[0] + 1):   # minor sums in sequential order
+        s = sum(v.real for _, v in left_items(gr.astype(complex), k))
+        if abs(s) <= flagorbit.CHART_ATOL:
+            raise DomainError("outside the chart")
+        if s < 0:
+            gr[:, k - 1] = -gr[:, k - 1]
+        sums.append(abs(s))
+    return gr, sums
+
+
+def outside_chart(n):
+    """Orthogonal matrices with an order-1 or an order-2 chart sum of exactly
+    0, so canonical_tnn_rep must raise."""
+    c = 1 / np.sqrt(2)
+    out = []
+    for B in ([[c, c], [-c, c]], [[1, 0, 0], [0, c, c], [0, -c, c]]):   # S_1 = c - c; S_2 = c - c
+        if len(B) <= n:
+            g = np.eye(n)
+            g[:len(B), :len(B)] = B
+            out.append(g)
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 9))
 def test_flag_data_match_per_minor_reference(n):
     rng = np.random.default_rng(13 * n)
-    for g in (q_factor(tp_product(rng, n)), q_factor(tp_product(rng, n, drop=1)),
-              q_factor(rng.normal(size=(n, n)))):
-        gr = np.linalg.qr(phases_fixed(g).real)[0]
-        for k in range(1, n + 1):   # minor sums in sequential order
-            if sum(v.real for _, v in left_items(gr.astype(complex), k)) < 0:
-                gr[:, k - 1] = -gr[:, k - 1]
-        assert same_bits(flagorbit.canonical_tnn_rep(g), gr)
+    inputs = [q_factor(tp_product(rng, n)), q_factor(tp_product(rng, n, drop=1)),
+              q_factor(rng.normal(size=(n, n))), perms.signed_perm(perms.random_perm(n, rng)),
+              signed_perm_matrix(rng, n)]
+    if n >= 2:   # a 1 x 1 flag has no boundary
+        inputs.append(positivity.sample_tnn_flag(n, rng, boundary=True))
+    most_flips = 0
+    for g in inputs:
+        ref, sums = ref_canonical_tnn_rep(g)
+        assert same_bits(flagorbit.canonical_tnn_rep(g), ref)
+        least = min(sums)   # the raise decision sits exactly on the least sum's bits
+        with pytest.raises(DomainError):
+            flagorbit.canonical_tnn_rep(g, chart_atol=least)
+        assert same_bits(flagorbit.canonical_tnn_rep(g, chart_atol=np.nextafter(least, 0.0)), ref)
+        flipped = np.any(ref != np.linalg.qr(phases_fixed(g).real)[0], axis=0)
+        most_flips = max(most_flips, int(flipped.sum()))
+    assert most_flips >= min(n - 1, 2)   # order sums of mixed signs: several columns flip
+    for g in outside_chart(n):
+        with pytest.raises(DomainError):
+            ref_canonical_tnn_rep(g)
+        with pytest.raises(DomainError, match="outside the totally nonnegative chart"):
+            flagorbit.canonical_tnn_rep(g)
+    if n == 1:
+        return
+    for g in inputs[:3]:
         V = flagorbit.flag_from_matrix(g)
         for k in range(1, n):
             items = left_items(V.rep, k)

@@ -110,7 +110,8 @@ def test_testers_refuse_bad_tol(tol):
     g = rotation(0.6)
     for check in (lambda: positivity.is_tp_matrix(g, tol), lambda: positivity.is_jacobi_cone(g, tol),
                   lambda: positivity.is_tnn_unitary(g, tol),
-                  lambda: positivity.is_plucker_nonneg(g, (1,), tol)):
+                  lambda: positivity.is_plucker_nonneg(g, (1,), tol),
+                  lambda: positivity.is_eventually_tp(np.eye(2) + 0.5, 3, tol)):
         with pytest.raises(LinalgError, match="tol must be finite and > 0"):
             check()
 
