@@ -42,15 +42,16 @@ def make_zdata(Z, k, tol=1e-9):
         raise LinalgError("make_zdata: Z must have at most as many rows as columns")
     if linalg.rank_of(R) < r:
         raise LinalgError("make_zdata: Z must have full row rank")
-    top, cols = (tuple(range(1, r + 1)),), linalg.index_sets(n, r)
-    vals, s = linalg.minors(R.astype(complex), top, cols)
-    nonzero = np.abs(vals.real[0]) > tol * s[0]
+    cols = linalg.index_sets(n, r)
+    vals = linalg.left_minors(R.T, r)[-1]   # det R[:, J] is the left-justified minor of R^T on rows J
+    s = linalg.row_norm_scales(R, (tuple(range(1, r + 1)),), cols)[0]
+    nonzero = np.abs(vals) > tol * s
     if not nonzero.any():
         raise LinalgError("make_zdata: all top-order minors vanish")
-    if vals.real[0, int(np.argmax(nonzero))] < 0:
+    if vals[int(np.argmax(nonzero))] < 0:
         R[0, :] = -R[0, :]
-        vals, s = linalg.minors(R.astype(complex), top, cols)
-    low = vals.real[0] <= tol * s[0]
+        vals = -vals   # row 1 is in every minor, so each negates exactly
+    low = vals <= tol * s
     if low.any():
         raise CertificationError(
             f"make_zdata: top-order minor on columns {cols[int(np.argmax(low))]} is not positive")

@@ -5,11 +5,13 @@ and Bruhat cell location.
 A PartialFlag stores a unitary n x n representative whose column prefixes
 span the flag's subspaces; only the projection matrices P_k for k in K are
 contractually meaningful. An OrbitPoint is a skew-Hermitian matrix with
-cached weakly decreasing spectrum of -iL.
+cached weakly decreasing spectrum of -iL; one built by orbit_point also
+carries the eigendecomposition of -iL it was validated with.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Optional
 
 import numpy as np
 
@@ -35,9 +37,13 @@ class PartialFlag:
 
 @dataclass(frozen=True)
 class OrbitPoint:
+    """L with the spectrum lam of -iL and its dimension set K. eig is the pair
+    (w, U) of linalg.herm_eig(-1j L) when orbit_point computed it, else None;
+    the flows reuse it as L's eigenbasis. It takes no part in comparisons."""
     L: np.ndarray
     lam: np.ndarray
     K: tuple
+    eig: Optional[tuple] = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -70,18 +76,24 @@ def flag_distance(V, W):
 
 
 def orbit_point(L, lam=None, tol=1e-8):
-    """Validated orbit point; lam defaults to the spectrum of -iL."""
+    """Validated orbit point; lam, a finite 1-d list of n floats, defaults to the
+    spectrum of -iL. The point keeps the eigendecomposition of -iL."""
     A = linalg.square(L)
     if linalg.skew_defect(A) > 1e-10 * max(1.0, float(np.abs(A).max())):
         raise LinalgError("orbit_point: matrix is not skew-Hermitian within tolerance")
-    w, _ = linalg.herm_eig(-1j * A)
+    w, U = linalg.herm_eig(-1j * A)
     if lam is None:
         lam = w
     else:
-        lam = np.array(lam, dtype=float)
-        if len(lam) != len(w) or np.abs(lam - w).max() > tol * max(1.0, np.abs(w).max()):
+        try:
+            lam = np.array(lam, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise LinalgError(f"orbit_point: lambda must be a list of floats: {exc}")
+        if lam.shape != w.shape or not np.all(np.isfinite(lam)):
+            raise LinalgError(f"orbit_point: lambda must be a finite 1-d list of {len(w)} floats")
+        if np.abs(lam - w).max() > tol * max(1.0, np.abs(w).max()):
             raise LinalgError("orbit_point: cached spectrum does not match the matrix")
-    return OrbitPoint(A, lam, linalg.multiplicity_set(lam))
+    return OrbitPoint(A, lam, linalg.multiplicity_set(lam), (w, U))
 
 
 def orbit_from_rep(g, lam, K):
@@ -112,9 +124,7 @@ def canonical_tnn_rep(A, chart_atol=CHART_ATOL):
     if np.abs(g.imag).max() > 1e-8:
         raise DomainError("canonical_tnn_rep: flag admits no real orthogonal representative")
     gr = np.linalg.qr(g.real)[0]
-    gc = gr.astype(complex)   # complex minors, as left_minors takes them: LU rounds by dtype
-    S = np.array([sum(linalg._dets(gc[:, :k][linalg._rows(linalg.index_sets(n, k))]).real.tolist())
-                  for k in range(1, n + 1)])
+    S = np.array([sum(v.real.tolist()) for v in linalg.left_minors(gr.astype(complex), n)])
     if np.any(np.abs(S) <= chart_atol):
         raise DomainError("canonical_tnn_rep: flag lies outside the totally nonnegative chart")
     sign = np.sign(S)
@@ -126,9 +136,8 @@ def pluecker(V, k):
     largest-modulus coordinate is positive real."""
     if k not in V.K:
         raise DomainError(f"pluecker: order {k} not in the flag dimension set {V.K}")
-    rows = linalg.index_sets(V.n, k)
-    vals = linalg.left_minors(V.rep, rows)[0]
-    return dict(zip(rows, linalg.phase_normalize(vals).tolist()))
+    vals = linalg.left_minors(linalg.as_matrix(V.rep), k)[-1]
+    return dict(zip(linalg.index_sets(V.n, k), linalg.phase_normalize(vals).tolist()))
 
 
 def flag_to_orbit(V, lam):
@@ -188,7 +197,7 @@ def projection_minor_closed_form(V, I, J):
     if len(I) != len(J):
         raise LinalgError("projection_minor_closed_form: |I| must equal |J|")
     l = len(I)
-    D = dict(zip(linalg.index_sets(n, k), linalg.left_minors(A, linalg.index_sets(n, k))[0].tolist()))
+    D = dict(zip(linalg.index_sets(n, k), linalg.left_minors(A, k)[-1].tolist()))
     denom = sum(abs(d) ** 2 for d in D.values())
     if l > k:
         return 0.0 + 0.0j

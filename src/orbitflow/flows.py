@@ -78,9 +78,9 @@ def lyapunov(L, N):
 
 
 def _eig_rep(P):
-    """Unitary eigenbasis of -iL ordered by the cached decreasing spectrum."""
-    _, U = linalg.herm_eig(-1j * P.L)
-    return U
+    """Unitary eigenbasis of -iL ordered by the cached decreasing spectrum: the
+    one orbit_point kept on P, else computed as orbit_point computes it."""
+    return (P.eig or linalg.herm_eig(-1j * P.L))[1]
 
 
 def _offcluster_mask(lam):
@@ -156,9 +156,8 @@ def kahler_flow_projection(L0, N, t):
     projection onto exp(t iN) V_k(0); no Iwasawa decomposition involved."""
     N = linalg.check_skew(N, "flow driver N")
     mu, W = linalg.herm_eig(1j * N)
-    U = _eig_rep(L0)
-    E = linalg.exp_eig(mu, W, t)
-    return _from_projections(L0.lam, L0.K, [np.linalg.qr(E @ U[:, :k])[0] for k in L0.K])
+    Q = np.linalg.qr(linalg.exp_eig(mu, W, t) @ _eig_rep(L0))[0]   # its prefixes: those of each k
+    return _from_projections(L0.lam, L0.K, [Q[:, :k] for k in L0.K])
 
 
 def _from_projections(lam, K, frames):
@@ -473,7 +472,7 @@ def boundary_derivative(metric, lam, N, g0, I, tol=1e-9):
     I = linalg.index_set(I, n)
     k = len(I)
     base = linalg.left_minor(g0, I)
-    if abs(base) > 1e-8:
+    if abs(base) > tol:
         raise DomainError(f"boundary_derivative: Delta_{I}(g0) = {base:.3e} is not on the boundary")
     if metric == "kahler":
         gdot = _kahler_rep_derivative(g0, N)
@@ -486,7 +485,7 @@ def boundary_derivative(metric, lam, N, g0, I, tol=1e-9):
     S = np.repeat(g0[None, rows, :k], k, axis=0)   # S[j] is g0's block with column j from gdot
     S[np.arange(k), :, np.arange(k)] = gdot[rows, :k].T
     total = sum(linalg._dets(S).tolist(), 0.0 + 0.0j)
-    if abs(total.imag) > 1e-8 * max(1.0, abs(total)):
+    if abs(total.imag) > tol * max(1.0, abs(total)):
         raise LinalgError("boundary_derivative: non-real derivative")
     return float(total.real)
 

@@ -9,7 +9,7 @@ import json
 
 import numpy as np
 
-from . import ampli, flagorbit, jacobi
+from . import ampli, flagorbit
 from .errors import LinalgError
 
 
@@ -70,13 +70,6 @@ def orbit_from_json(obj):
 
 def moser_to_json(d):
     return {"lambda": [float(x) for x in d.lam], "x": [float(x) for x in d.x]}
-
-
-def moser_from_json(obj):
-    for field in ("lambda", "x"):
-        if not isinstance(obj, dict) or field not in obj:
-            raise LinalgError(f"moser JSON missing field {field!r}")
-    return jacobi.moser_data(obj["lambda"], obj["x"])
 
 
 def zdata_to_json(zd):

@@ -3,6 +3,15 @@
 
 Index sets are strictly increasing tuples of 1-based indices. Everything here
 is numpy, except mat_exp, which imports scipy on its first call.
+
+Minor families (every minor of a matrix, or its left-justified ones) are built
+order by order by Laplace expansion against the order below, through cached
+drop-one index plans (_expand, _drops): each order is one gather, one multiply
+and k adds, and no LU. Orders k <= 3 are the closed forms of _dets, bit for
+bit. Above, each level rounds by O(k eps) times the Hadamard bound (the product
+of the submatrix's row norms), so a minor is accurate to a small multiple of
+eps times that scale, not to its own value; a value that is reported, such as
+a verdict's witness, comes from one _det (LU) of its submatrix.
 """
 
 from dataclasses import dataclass
@@ -52,6 +61,7 @@ def index_set(I, n):
 
 
 _SETS, _ROWS = {}, {}   # (n, k) -> index_sets(n, k); id of each -> (it, its 0-based index array)
+_DROPS = {}             # (n, k) -> _drops(n, k)
 
 
 def index_sets(n, k):
@@ -68,6 +78,18 @@ def _rows(sets):
     """0-based index array of a family of 1-based index sets, index_sets' cached one."""
     plan = _ROWS.get(id(sets))
     return np.subtract(sets, 1) if plan is None else plan[1]
+
+
+def _drops(n, k):
+    """The drop-one plan of index_sets(n, k), k >= 2, built once: row a, column m is
+    the position in index_sets(n, k - 1) of the a-th set without its m-th element."""
+    if (n, k) not in _DROPS:
+        pos = {s: i for i, s in enumerate(index_sets(n, k - 1))}
+        plan = np.array([[pos[s[:m] + s[m + 1:]] for m in range(k)] for s in index_sets(n, k)],
+                        dtype=np.intp).reshape(-1, k)
+        plan.flags.writeable = False
+        _DROPS[n, k] = plan
+    return _DROPS[n, k]
 
 
 def inv_count(I, J):
@@ -87,38 +109,81 @@ def _mul(a, b):
 _DROP = {2: np.array([[1], [0]]), 3: np.array([[1, 2], [0, 2], [0, 1]])}   # all columns but j
 
 
+def _expand(entries, cofactors):
+    """Laplace expansion along one line: the sum over m of (-1)^m entries[..., m]
+    cofactors[..., m], products through _mul, terms added left to right."""
+    t = _mul(entries, cofactors)
+    d = t[..., 0]
+    for m in range(1, t.shape[-1]):
+        d = d - t[..., m] if m % 2 else d + t[..., m]
+    return d
+
+
 def _dets(S):
-    """Determinants of a (..., k, k) stack in its dtype: for 1 <= k <= 3 the closed
-    forms (first-row Laplace, terms added left to right), else LU with pivoting."""
+    """Determinants of a (..., k, k) stack of unrelated matrices in its dtype: for
+    1 <= k <= 3 the closed forms (first-row Laplace, see _expand), else LU with
+    pivoting."""
     k = S.shape[-1]
     if k == 0 or k > 3:
         return np.linalg.det(S)
     if k == 1:
         return S[..., 0, 0]
-    t = _mul(S[..., 0, :], _dets(S[..., 1:, _DROP[k]].swapaxes(-2, -3)))
-    d = t[..., 0] - t[..., 1]
-    return d + t[..., 2] if k == 3 else d
+    return _expand(S[..., 0, :], _dets(S[..., 1:, _DROP[k]].swapaxes(-2, -3)))
 
 
 def _det(A):
     return complex(_dets(A))
 
 
-def minors(M, rows, cols):
-    """Every minor of M on rows x cols, two families of 1-based index sets of
-    one order k, from one (len(rows), len(cols), k, k) stack of submatrices.
-    Returns (minors, scale) of that shape in the dtype of M; scale is the
-    product of each submatrix's row norms, or 1 where that is 0."""
-    S = np.asarray(M)[_rows(rows)[:, None, :, None], _rows(cols)[None, :, None, :]]
-    s = np.linalg.norm(S, axis=-1).prod(axis=-1)
-    return _dets(S), np.where(s > 0.0, s, 1.0)
+def _minor(A, rows, cols):
+    """_det of A's submatrix on 1-based index sets, unchecked, in the dtype of A."""
+    return _det(A[np.ix_(np.subtract(rows, 1), np.subtract(cols, 1))])
 
 
-def left_minors(M, rows):
-    """minors of one family of row sets on the first columns, 1-d, on complex
-    entries like left_minor."""
-    vals, scale = minors(as_matrix(M), rows, index_sets(len(rows[0]), len(rows[0])))
-    return vals[:, 0], scale[:, 0]
+def minors(M):
+    """Every minor of a square M: yields, for k = 1..n, the (C(n, k), C(n, k)) table
+    of the order-k minors, rows and columns in index_sets(n, k) order, in the dtype
+    of M. Each order expands every submatrix along its first row against the table
+    below (see the module docstring), so orders k <= 3 are _dets' closed forms."""
+    A = table = np.asarray(M)
+    yield table
+    for k in range(2, A.shape[0] + 1):
+        rows, drop = _rows(index_sets(A.shape[0], k)), _drops(A.shape[0], k)
+        table = _expand(A[rows[:, :1, None], rows], table[drop[:, :1, None], drop])
+        yield table
+
+
+def left_minors(M, k):
+    """The left-justified minors of M (row sets I against the first |I| columns) of
+    orders 1..k, one 1-d array per order, rows in index_sets order, in the dtype of
+    M: _dets' closed forms up to order 3, then each order expanded along its last
+    column against the order below."""
+    A = np.asarray(M)
+    n = A.shape[0]
+    out = []
+    for j in range(1, k + 1):
+        rows = _rows(index_sets(n, j))
+        if j <= 3:
+            out.append(_dets(A[:, :j][rows]))
+        else:
+            d = _expand(A[rows, j - 1], out[-1][_drops(n, j)])
+            out.append(d if j % 2 else -d)   # the last column's cofactor signs start at (-1)^(j-1)
+    return out
+
+
+def row_norm_scales(M, rows, cols):
+    """The product of the row norms of each submatrix of M on rows x cols, two
+    families of 1-based index sets of one order, or 1 where that is 0. Each row's
+    norm is taken once per column set, as numpy's norm takes it (the sum of the
+    squared moduli, reduced over a contiguous axis: the reduction order depends on
+    the layout), and multiplied over the rows in order."""
+    A = np.asarray(M)
+    r = _rows(rows)
+    norms = np.sqrt(np.add.reduce(np.ascontiguousarray((A.conj() * A).real[:, _rows(cols)]), axis=-1))
+    s = norms[r[:, 0]]
+    for m in range(1, r.shape[1]):
+        s = s * norms[r[:, m]]
+    return np.where(s > 0.0, s, 1.0)
 
 
 def minor(M, rows, cols):
@@ -128,7 +193,7 @@ def minor(M, rows, cols):
     J = index_set(cols, A.shape[1])
     if len(I) != len(J):
         raise LinalgError(f"minor needs |I| = |J|, got {len(I)} and {len(J)}")
-    return _det(A[np.ix_([i - 1 for i in I], [j - 1 for j in J])])
+    return _minor(A, I, J)
 
 
 def left_minor(M, rows):
@@ -154,6 +219,11 @@ def _qr(g):
     sv = np.linalg.svd(A, compute_uv=False).T   # sv[0], sv[-1] are scalars for one matrix
     if np.count_nonzero(sv[-1] <= RANK_RTOL * sv[0]):
         raise LinalgError("iwasawa: singular input")
+    return _qr_phases(A)
+
+
+def _qr_phases(A):
+    """_qr without the singularity check."""
     Q, R = np.linalg.qr(A)
     d = R.diagonal(0, -2, -1)
     return Q, R, d / np.abs(d)
@@ -173,6 +243,17 @@ def k_factor(g):
     matrix of a (..., n, n) stack, in one stacked SVD check and QR."""
     Q, _, phase = _qr(g)
     return Q * phase[..., None, :]
+
+
+def exp_k_factor(w, U, t):
+    """k_factor(exp_eig(w, U, t)) for a decreasing spectrum w. The singular values
+    of exp_eig are exp(t w) over one common scale, so k_factor's singularity check
+    is their known ratio exp(-|t| (w[0] - w[-1])) against RANK_RTOL, and no SVD is
+    taken."""
+    if np.exp(-abs(t) * (w[0] - w[-1])) <= RANK_RTOL:
+        raise LinalgError("iwasawa: singular input")
+    Q, _, phase = _qr_phases(exp_eig(w, U, t))
+    return Q * phase[None, :]
 
 
 def k_project(L):
@@ -236,14 +317,20 @@ def general_eig(g, rtol=RANK_RTOL):
     return w, V
 
 
-def phase_normalize(M):
-    """M with each column (a 1-d M is one column) divided by the unit phase of
-    its first largest-modulus entry, which becomes positive real."""
+def unit_phases(M):
+    """The unit phase of the first largest-modulus entry of each column of M (a
+    1-d M is one column), in the shape M.shape[1:]."""
     M = np.asarray(M)
     cols = M.reshape(len(M), -1)
     top = cols[np.argmax(np.abs(cols), axis=0), np.arange(cols.shape[1])]
     # each phase p / |p| on a numpy scalar: the array form rounds differently
-    return M / np.array([p / abs(p) for p in top]).reshape(M.shape[1:])
+    return np.array([p / abs(p) for p in top]).reshape(M.shape[1:])
+
+
+def phase_normalize(M):
+    """M with each column (a 1-d M is one column) divided by the unit phase of
+    its first largest-modulus entry, which becomes positive real."""
+    return np.asarray(M) / unit_phases(M)
 
 
 def rank_of(A, rtol=RANK_RTOL):

@@ -51,13 +51,21 @@ def _require_real(A, tol, scale, what):
     return A.real
 
 
-def _verdict(batches, tol, note=None, nonreal_note=None, allow_positive=True):
+def _verdict(batches, tol, value, note=None, nonreal_note=None, allow_positive=True):
     """Verdict from batches (rows, cols, minors, scale) of one order each. The
     witness is the first smallest minor / scale, as a sequential `<` scan
-    finds it; a minor with |imag| > tol * scale is outside at once. A
+    finds it; a minor with |imag| > tol * scale is outside at once. The value a
+    witness of order k >= 4 reports is value(rows, cols), one LU of its
+    submatrix: the batches' minors are accurate to eps times their scale, not to
+    their value (below, they are _det's closed forms already). A
     non-finite minor or scale (overflow) raises: no verdict may rest on the
     orders that did not overflow."""
     worst, worst_w = np.inf, None
+
+    def witness(vals, rows, cols, i):
+        a, b = divmod(i, len(cols))
+        return rows[a], cols[b], vals.flat[i] if len(cols[b]) <= 3 else value(rows[a], cols[b])
+
     with np.errstate(over="ignore", invalid="ignore"):   # overflow is reported below
         for rows, cols, vals, scale in batches:
             rel = vals.real / scale
@@ -65,16 +73,15 @@ def _verdict(batches, tol, note=None, nonreal_note=None, allow_positive=True):
                 raise LinalgError(f"order-{len(rows[0])} minors overflow; rescale the input")
             nonreal = np.abs(vals.imag) > tol * scale
             if nonreal.any():
-                a, b = divmod(int(np.argmax(nonreal)), len(cols))
-                return Verdict(OUTSIDE, Witness(rows[a], cols[b], float(vals[a, b].imag)), tol,
-                               note=nonreal_note)
+                I, J, z = witness(vals, rows, cols, int(np.argmax(nonreal)))
+                return Verdict(OUTSIDE, Witness(I, J, float(z.imag)), tol, note=nonreal_note)
             i = int(np.argmin(rel))
             if rel.flat[i] < worst:
-                a, b = divmod(i, len(cols))
-                worst, worst_w = rel.flat[i], Witness(rows[a], cols[b], float(vals[a, b].real))
+                worst, worst_w = rel.flat[i], (vals, rows, cols, i)
     if allow_positive and worst > tol:
         return Verdict(POSITIVE, None, tol, note=note)
-    return Verdict(NONNEGATIVE if worst > -tol else OUTSIDE, worst_w, tol, note=note)
+    I, J, z = witness(*worst_w)
+    return Verdict(NONNEGATIVE if worst > -tol else OUTSIDE, Witness(I, J, float(z.real)), tol, note=note)
 
 
 def _left_sets(n, k):
@@ -85,8 +92,11 @@ def _left_sets(n, k):
 def is_tp_matrix(M, tol=1e-9):
     """Certify a real square matrix as totally positive / nonnegative.
 
-    Each minor, computed in one batch with all minors of its order, is compared
-    against tol times the product of the row norms of its submatrix; n <= 8.
+    Every minor is compared against tol times the product of the row norms of its
+    submatrix (its Hadamard bound); n <= 8. The minors come from linalg.minors,
+    each order by Laplace expansion against the order below, accurate to a small
+    multiple of eps times that scale; the witness reports the value of one LU of
+    its submatrix.
     """
     linalg.check_tol(tol)
     A = linalg.square(M)
@@ -96,7 +106,8 @@ def is_tp_matrix(M, tol=1e-9):
     scale0 = max(1.0, float(np.abs(A).max()))
     R = _require_real(A, tol, scale0, "is_tp_matrix")
     sets = [linalg.index_sets(n, k) for k in range(1, n + 1)]
-    return _verdict(((S, S, *linalg.minors(R, S, S)) for S in sets), tol)
+    batches = ((S, S, vals, linalg.row_norm_scales(R, S, S)) for S, vals in zip(sets, linalg.minors(R)))
+    return _verdict(batches, tol, lambda I, J: linalg._minor(R, I, J))
 
 
 def is_jacobi_cone(L, tol=1e-9):
@@ -128,9 +139,9 @@ def is_jacobi_cone(L, tol=1e-9):
 def is_tnn_unitary(g, tol=1e-9):
     """Certify a unitary matrix as totally positive / nonnegative.
 
-    Positive means all left-justified minors are positive real numbers; the
-    fast path checks only minors on consecutive rows (Fekete), which suffices
-    for positivity. Nonnegativity needs them all, one batch per order.
+    Positive means all left-justified minors are positive real numbers. They
+    all come from linalg.left_minors; positivity is read off those on
+    consecutive rows alone (Fekete), nonnegativity off all of them.
     """
     linalg.check_tol(tol)
     A = linalg.square(g)
@@ -139,16 +150,21 @@ def is_tnn_unitary(g, tol=1e-9):
         raise DomainError("is_tnn_unitary: input is not unitary within tolerance")
     if n > MAX_EXHAUSTIVE_N:
         raise LinalgError(f"is_tnn_unitary: exhaustive minor test capped at n = {MAX_EXHAUSTIVE_N}")
+    batches = []
+    for k, vals in enumerate(linalg.left_minors(A, n), 1):
+        rows, cols = _left_sets(n, k)
+        batches.append((rows, cols, vals[:, None], linalg.row_norm_scales(A, rows, cols)))
     # Fekete fast path: consecutive-row minors positive => totally positive.
-    for k in range(1, n + 1):
-        vals, s = linalg.left_minors(A, [tuple(range(i, i + k)) for i in range(1, n - k + 2)])
+    for rows, _, vals, s in batches:
+        r = linalg._rows(rows)
+        fekete = r[:, -1] - r[:, 0] == r.shape[1] - 1
+        vals, s = vals[fekete], s[fekete]
         if np.any((np.abs(vals.imag) > tol * s) | (vals.real <= tol * s)):
             break
     else:
         return Verdict(POSITIVE, None, tol)
-    batches = ((rows, cols, *linalg.minors(A, rows, cols))
-               for rows, cols in (_left_sets(n, k) for k in range(1, n + 1)))
-    return _verdict(batches, tol, nonreal_note="non-real minor", allow_positive=False)
+    return _verdict(batches, tol, lambda I, J: linalg._minor(A, I, J),
+                    nonreal_note="non-real minor", allow_positive=False)
 
 
 def is_plucker_nonneg(rep, K, tol=1e-9):
@@ -172,17 +188,19 @@ def is_plucker_nonneg(rep, K, tol=1e-9):
     consecutive = all(b - a == 1 for a, b in zip(K, K[1:]))
     note = ("consecutive K: Plucker positivity coincides with Lusztig positivity" if consecutive
             else "non-consecutive K: certifies Plucker positivity only")
+    phases = {}
 
     def batches():
-        for rows, cols in (_left_sets(n, k) for k in K):
-            vals = linalg.minors(A, rows, cols)[0]
-            mag = np.abs(vals)
-            top = mag.max()
+        tables = linalg.left_minors(A, K[-1])
+        for k in K:
+            vals = tables[k - 1]
+            top = np.abs(vals).max()
             if top <= 0.0:
                 raise DomainError("is_plucker_nonneg: degenerate representative")
-            yield rows, cols, linalg.phase_normalize(vals), top
+            phases[k] = linalg.unit_phases(vals)
+            yield *_left_sets(n, k), (vals / phases[k])[:, None], top
 
-    return _verdict(batches(), tol, note=note,
+    return _verdict(batches(), tol, lambda I, J: linalg._minor(A, I, J) / phases[len(I)], note=note,
                     nonreal_note="non-real coordinate after phase normalization")
 
 

@@ -17,17 +17,21 @@ def toda_symes(P, t, max_exp=14.0):
 
     Long times are evaluated by composing shorter chunks (the flow property),
     which keeps the QR factors within the working precision; each factor is
-    rescaled to avoid overflow.
+    rescaled to avoid overflow. exp(-dt iL) is built from the eigendecomposition
+    of -iL (for the first chunk, the one P carries, if any), so its singular
+    values are known and linalg.exp_k_factor takes no SVD.
     """
     lam = P.lam
     diam = float(lam[0] - lam[-1])
     nch = linalg.split_chunks(t, diam, max_exp)
     dt = t / nch
     L = P.L.astype(complex)
+    eig = P.eig
     for _ in range(nch):
-        w, W = linalg.herm_eig(1j * L)
-        Q = linalg.k_factor(linalg.exp_eig(w, W, -dt))
+        w, U = eig or linalg.herm_eig(-1j * L)
+        Q = linalg.exp_k_factor(w, U, dt)
         L = linalg.skew_part(Q.conj().T @ L @ Q)
+        eig = None
     return OrbitPoint(L, lam.copy(), tuple(P.K))
 
 

@@ -366,3 +366,13 @@ def test_tol_not_finite_and_positive_exits_2(tmp_path, capsys, tol):
         assert_malformed(capsys, ["flow", "--metric", metric, "--in", L0, "--N", N,
                                   "--t1", "1", "--samples", "3", "--tol", tol])
     assert_malformed(capsys, ["toda", "--ode", "--in", L0, "--t1", "1", "--tol", tol])
+
+
+def test_malformed_orbit_lambda_exits_2(tmp_path, capsys):
+    L = oio.matrix_to_json(1j * np.array([[0.0, 1], [1, 0]]))
+    path = tmp_path / "orbit.json"
+    for lam in ("x", [[1], [1]], [[1], [-1]], [1.0], [1.0, "nan"], {"a": 1}):
+        path.write_text(json.dumps({"lambda": lam, "L": L}))
+        assert_malformed(capsys, ["toda", "--in", str(path), "--t1", "1", "--samples", "3"])
+        assert_malformed(capsys, ["flow", "--metric", "kahler", "--in", str(path),
+                                  "--t1", "1", "--samples", "3"])

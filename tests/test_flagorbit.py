@@ -608,3 +608,12 @@ def test_torus_action_preserves_cells():
         W = flagorbit.flag_from_matrix(h @ g)
         c1 = flagorbit.locate_cell(W)
         assert (c0.v, c0.w) == (c1.v, c1.w)
+
+
+def test_orbit_point_refuses_malformed_lambda():
+    L = 1j * np.array([[0.0, 1], [1, 0]])
+    for lam in ("x", "1", [[1], [-1]], [[1, -1]], [1.0], [1.0, -1.0, 0.0], [1.0, float("nan")],
+                [float("inf"), -1.0], {"a": 1}, [None, 1.0]):
+        with pytest.raises(LinalgError, match="lambda must be"):
+            flagorbit.orbit_point(L, lam)
+    assert flagorbit.orbit_point(L, [1, -1]).lam.tolist() == [1.0, -1.0]

@@ -505,3 +505,47 @@ def test_max_drift_without_diagnostics():
     assert traj.diagnostics == [] and 0.0 <= traj.max_drift() < 1e-12
     ode = toda.toda_ode(P, 2.0, samples=5)
     assert ode.max_drift() == max(d["spectrum_drift"] for d in ode.diagnostics)
+
+
+def test_projection_prefix_frames_match_per_order_qrs():
+    """kahler_flow_projection's frames are the column prefixes of one QR of
+    E U; the QR of each prefix (E U)[:, :k] gives the same bits. The product
+    E @ U[:, :k] of the per-order form rounds differently from the prefix of
+    E @ U (BLAS picks its kernel by shape), so that form agrees only to the
+    conditioning of exp(t iN) U: on these inputs both forms are up to 2.3e-10
+    from the 50-digit projection."""
+    rng = np.random.default_rng(29)
+    for n in range(2, 9):
+        for lam in (np.sort(rng.normal(size=n))[::-1], np.repeat([1.0, -1.0], [n // 2, n - n // 2])):
+            P0 = random_orbit_point(rng, lam)
+            N = random_skew(rng, n)
+            mu, W = linalg.herm_eig(1j * N)
+            U = linalg.herm_eig(-1j * P0.L)[1]
+            for t in (-1.3, 0.2, 2.5):
+                E = linalg.exp_eig(mu, W, t)
+                got = flows.kahler_flow_projection(P0, N, t).L
+                ref = flows._from_projections(P0.lam, P0.K, [np.linalg.qr((E @ U)[:, :k])[0] for k in P0.K])
+                assert got.tobytes() == ref.L.tobytes()
+                per_order = flows._from_projections(P0.lam, P0.K,
+                                                    [np.linalg.qr(E @ U[:, :k])[0] for k in P0.K])
+                assert np.abs(got - per_order.L).max() <= 1e-9
+
+
+def test_orbit_point_eigenbasis_is_reused_bit_for_bit():
+    """orbit_point keeps herm_eig(-1j L); every flow that reads L's eigenbasis
+    gives the same bits with it as a point without it, which computes it."""
+    rng = np.random.default_rng(31)
+    lam = np.array([1.5, 0.4, 0.4, -1.0])
+    P = random_orbit_point(rng, lam)
+    bare = flagorbit.OrbitPoint(P.L, P.lam, P.K)
+    w, U = linalg.herm_eig(-1j * P.L)
+    assert P.eig[0].tobytes() == w.tobytes() and P.eig[1].tobytes() == U.tobytes()
+    assert bare.eig is None and bare == P and "eig" not in repr(P)
+    assert flows._eig_rep(P) is P.eig[1] and flows._eig_rep(bare).tobytes() == U.tobytes()
+    M, N = random_skew(rng, 4), random_skew(rng, 4)
+    for f in (flows.ad_inverse, flows.image_component):
+        assert f(P, M).tobytes() == f(bare, M).tobytes()
+    for f in (flows.kahler_flow, flows.kahler_flow_projection):
+        assert f(P, N, 0.7).L.tobytes() == f(bare, N, 0.7).L.tobytes()
+    assert (flows.kahler_trajectory(P, N, 1.0, samples=5).L.tobytes()
+            == flows.kahler_trajectory(bare, N, 1.0, samples=5).L.tobytes())

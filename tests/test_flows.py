@@ -257,6 +257,26 @@ def test_boundary_checks_refuse_bad_tol(tol):
 
 # -------------------------------------------------------- boundary derivative
 
+def test_boundary_derivative_tests_against_tol():
+    """Delta_(3)(g0) = 5e-9 is on the boundary at tol 1e-3, not at 1e-12; a
+    derivative with imaginary part 1e-6 is non-real at 1e-9, not at 1e-3."""
+    lam = np.array([2.0, 0.5, -1.0])
+    iN = np.array([[0.3, 0.7, 0.0], [0.7, -0.1, 0.4], [0.0, 0.4, 0.2]])
+    g0, I, _ = flows.normal_audit_configs_n3()[0]
+    g0 = g0.copy()
+    g0[2, 0] = 5e-9
+    with pytest.raises(DomainError, match="not on the boundary"):
+        flows.boundary_derivative("normal", lam, -1j * iN, g0, I, tol=1e-12)
+    assert_allclose(flows.boundary_derivative("normal", lam, -1j * iN, g0, I, tol=1e-3),
+                    -(lam[1] - lam[2]) / 2 * iN[1, 0], atol=1e-8)
+    H = iN.astype(complex)
+    H[1, 0], H[0, 1] = 0.7 + 1e-6j, 0.7 - 1e-6j
+    with pytest.raises(LinalgError, match="non-real derivative"):
+        flows.boundary_derivative("kahler", lam, -1j * H, np.eye(3), (2,))
+    assert flows.boundary_derivative("kahler", lam, -1j * H, np.eye(3), (2,), tol=1e-3) == 0.7
+
+
+
 def test_boundary_derivative_normal_config():
     lam = np.array([2.0, 0.5, -1.0])
     iN = np.array([[0.3, 0.7, 0.0], [0.7, -0.1, 0.4], [0.0, 0.4, 0.2]])

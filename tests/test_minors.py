@@ -1,34 +1,72 @@
-"""The batched minor kernel against per-minor references, bit for bit.
+"""The minor kernels against per-minor references, bit for bit.
 
-The references below enumerate minors one at a time with np.ix_ and the
-written-out closed forms, the way the package computed every minor before the
-kernel; verdicts, witnesses and flag data must not move by a single bit.
+The references below take one minor at a time, on scalars: the written-out
+closed forms for k <= 3, and above them the Laplace expansion the kernels use
+(along the first row for every minor, along the last column for left-justified
+ones), memoised over the order below and with its terms added in the same order;
+verdicts, witnesses and flag data must not move by a single bit. A verdict's
+witness value is one LU of its submatrix, as before the kernels. The order-k >= 4
+minors are also checked against 50-digit mpmath, and the verdicts against the
+LU scan the package made before the recursion.
 """
 
 from itertools import combinations
 
+import mpmath
 import numpy as np
 import pytest
 
-from orbitflow import flagorbit, linalg, perms, positivity
+from orbitflow import ampli, flagorbit, linalg, perms, positivity
 from orbitflow.errors import DomainError
 from orbitflow.positivity import NONNEGATIVE, OUTSIDE, POSITIVE, Verdict, Witness
 
 
-def scalar_det(A):
-    """Per-minor determinant: closed forms on scalars for k <= 3, else LU."""
+def closed_form(A):
+    """Determinant of a k x k matrix, k <= 3, written out on scalars of its dtype."""
     n = A.shape[0]
     if n == 1:
-        return complex(A[0, 0])
+        return A[0, 0]
     if n == 2:
-        return complex(A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
-    if n == 3:
-        return complex(
-            A[0, 0] * (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
+        return A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    return (A[0, 0] * (A[1, 1] * A[2, 2] - A[1, 2] * A[2, 1])
             - A[0, 1] * (A[1, 0] * A[2, 2] - A[1, 2] * A[2, 0])
-            + A[0, 2] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0])
-        )
-    return complex(np.linalg.det(A))
+            + A[0, 2] * (A[1, 0] * A[2, 1] - A[1, 1] * A[2, 0]))
+
+
+def scalar_det(A):
+    """Per-minor determinant: closed forms on scalars for k <= 3, else LU."""
+    return complex(closed_form(A) if A.shape[0] <= 3 else np.linalg.det(A))
+
+
+def alternating(terms):
+    """t0 - t1 + t2 - ..., added left to right."""
+    d = terms[0]
+    for m, t in enumerate(terms[1:], 1):
+        d = d - t if m % 2 else d + t
+    return d
+
+
+def laplace(A, I, J, memo):
+    """Minor on I x J by first-row Laplace expansion, memoised by (I, J)."""
+    if (I, J) not in memo:
+        memo[I, J] = (A[I[0] - 1, J[0] - 1] if len(I) == 1 else
+                      alternating([A[I[0] - 1, j - 1] * laplace(A, I[1:], J[:m] + J[m + 1:], memo)
+                                   for m, j in enumerate(J)]))
+    return memo[I, J]
+
+
+def left_laplace(A, I, memo):
+    """Left-justified minor on rows I: the closed forms up to order 3, then the
+    expansion along the last column, memoised by I."""
+    k = len(I)
+    if I not in memo:
+        if k <= 3:
+            memo[I] = closed_form(sub(A, I, range(1, k + 1)))
+        else:
+            d = alternating([A[i - 1, k - 1] * left_laplace(A, I[:m] + I[m + 1:], memo)
+                             for m, i in enumerate(I)])
+            memo[I] = d if k % 2 else -d
+    return memo[I]
 
 
 def sub(A, I, J):
@@ -40,70 +78,85 @@ def row_norm_scale(S):
     return s if s > 0.0 else 1.0
 
 
-def left_items(A, k):
+def left_items(A, k, memo=None):
+    n = A.shape[0]
+    memo = {} if memo is None else memo
+    return [(I, complex(left_laplace(A, I, memo))) for I in combinations(range(1, n + 1), k)]
+
+
+def lu_left_items(A, k):
     n = A.shape[0]
     return [(I, scalar_det(sub(A, I, range(1, k + 1)))) for I in combinations(range(1, n + 1), k)]
 
 
-def ref_is_tp_matrix(M, tol=1e-9):
+def ref_is_tp_matrix(M, tol=1e-9, lu_scan=False):
+    """The verdict from a sequential scan of the Laplace minors (of the LU ones,
+    the package's scan before the recursion, with lu_scan)."""
     R = np.asarray(M, dtype=complex).real
     n = R.shape[0]
+    memo = {}
     worst, worst_w = np.inf, None
     for k in range(1, n + 1):
         for I in combinations(range(1, n + 1), k):
             for J in combinations(range(1, n + 1), k):
                 S = sub(R, I, J)
-                val = scalar_det(S).real
+                val = (scalar_det(S) if lu_scan else complex(laplace(R, I, J, memo))).real
                 rel = val / row_norm_scale(S)
                 if rel < worst:
-                    worst, worst_w = rel, Witness(I, J, float(val))
+                    worst, worst_w = rel, Witness(I, J, float(scalar_det(S).real))
     if worst > tol:
         return Verdict(POSITIVE, None, tol)
     return Verdict(NONNEGATIVE if worst > -tol else OUTSIDE, worst_w, tol)
 
 
-def ref_is_tnn_unitary(g, tol=1e-9):
+def ref_is_tnn_unitary(g, tol=1e-9, lu_scan=False):
     A = np.asarray(g, dtype=complex)
     n = A.shape[0]
+    memo = {}
+    items = {k: lu_left_items(A, k) if lu_scan else left_items(A, k, memo) for k in range(1, n + 1)}
     fekete = True
     for k in range(1, n + 1):
-        for i in range(1, n - k + 2):
-            S = sub(A, range(i, i + k), range(1, k + 1))
-            val, s = scalar_det(S), row_norm_scale(S)
-            fekete = fekete and abs(val.imag) <= tol * s and val.real > tol * s
+        for I, val in items[k]:
+            if I[-1] - I[0] == k - 1:
+                s = row_norm_scale(sub(A, I, range(1, k + 1)))
+                fekete = fekete and abs(val.imag) <= tol * s and val.real > tol * s
     if fekete:
         return Verdict(POSITIVE, None, tol)
     worst, worst_w = np.inf, None
     for k in range(1, n + 1):
         cols = tuple(range(1, k + 1))
-        for I, val in left_items(A, k):
-            s = row_norm_scale(sub(A, I, cols))
+        for I, val in items[k]:
+            S = sub(A, I, cols)
+            s = row_norm_scale(S)
             if abs(val.imag) > tol * s:
-                return Verdict(OUTSIDE, Witness(I, cols, float(val.imag)), tol, note="non-real minor")
+                return Verdict(OUTSIDE, Witness(I, cols, float(scalar_det(S).imag)), tol,
+                               note="non-real minor")
             if val.real / s < worst:
-                worst, worst_w = val.real / s, Witness(I, cols, float(val.real))
+                worst, worst_w = val.real / s, Witness(I, cols, float(scalar_det(S).real))
     return Verdict(NONNEGATIVE if worst > -tol else OUTSIDE, worst_w, tol)
 
 
-def ref_is_plucker_nonneg(rep, K, tol=1e-9):
+def ref_is_plucker_nonneg(rep, K, tol=1e-9, lu_scan=False):
     A = np.asarray(rep, dtype=complex)
     consecutive = all(b - a == 1 for a, b in zip(K, K[1:]))
     note = ("consecutive K: Plucker positivity coincides with Lusztig positivity" if consecutive
             else "non-consecutive K: certifies Plucker positivity only")
+    memo = {}
     worst, worst_w = np.inf, None
     for k in K:
         cols = tuple(range(1, k + 1))
-        items = left_items(A, k)
+        items = lu_left_items(A, k) if lu_scan else left_items(A, k, memo)
         vals = np.array([v for _, v in items])
         top = np.abs(vals).max()
         ph = vals[int(np.argmax(np.abs(vals)))]
-        vals = vals / (ph / abs(ph))
+        ph = ph / abs(ph)
+        vals = vals / ph
         for (I, _), v in zip(items, vals):
             if abs(v.imag) > tol * top:
-                return Verdict(OUTSIDE, Witness(I, cols, float(v.imag)), tol,
-                               note="non-real coordinate after phase normalization")
+                return Verdict(OUTSIDE, Witness(I, cols, float((scalar_det(sub(A, I, cols)) / ph).imag)),
+                               tol, note="non-real coordinate after phase normalization")
             if v.real / top < worst:
-                worst, worst_w = v.real / top, Witness(I, cols, float(v.real))
+                worst, worst_w = v.real / top, Witness(I, cols, float((scalar_det(sub(A, I, cols)) / ph).real))
     if worst > tol:
         return Verdict(POSITIVE, None, tol, note=note)
     return Verdict(NONNEGATIVE if worst > -tol else OUTSIDE, worst_w, tol, note=note)
@@ -155,17 +208,69 @@ def test_minors_match_per_minor_reference_bit_for_bit(n, dtype):
     A = rng.normal(size=(n, n)) * 3.0
     if dtype is complex:
         A = A + 1j * rng.normal(size=(n, n))
-    for k in range(1, n + 1):
+    memo, left_memo = {}, {}
+    tables, left = list(linalg.minors(A)), linalg.left_minors(A, n)
+    assert len(tables) == len(left) == n
+    for k, vals in enumerate(tables, 1):
         sets = linalg.index_sets(n, k)
-        vals, scale = linalg.minors(A, sets, sets)
+        first = tuple(range(1, k + 1))
         assert vals.dtype == A.dtype and vals.shape == (len(sets), len(sets))
-        ref = np.array([[scalar_det(sub(A, I, J)) for J in sets] for I in sets])
-        assert same_bits(vals, ref)
-        assert same_bits(vals, [[linalg._det(sub(A, I, J)) for J in sets] for I in sets])
-        assert same_bits(scale, [[row_norm_scale(sub(A, I, J)) for J in sets] for I in sets])
-        lvals, lscale = linalg.left_minors(A, sets)
-        assert same_bits(lvals, [linalg.left_minor(A, I) for I in sets])
-        assert same_bits(lscale, [row_norm_scale(sub(A + 0j, I, range(1, k + 1))) for I in sets])
+        assert same_bits(vals, [[complex(laplace(A, I, J, memo)) for J in sets] for I in sets])
+        assert same_bits(linalg.row_norm_scales(A, sets, sets),
+                         [[row_norm_scale(sub(A, I, J)) for J in sets] for I in sets])
+        assert left[k - 1].dtype == A.dtype
+        assert same_bits(left[k - 1], [left_laplace(A, I, left_memo) for I in sets])
+        assert same_bits(linalg.row_norm_scales(A, sets, (first,))[:, 0],
+                         [row_norm_scale(sub(A, I, first)) for I in sets])
+        if k <= 3:   # the recursions are the closed forms of every single minor
+            assert same_bits(vals, [[linalg._det(sub(A, I, J)) for J in sets] for I in sets])
+            assert same_bits(vals, [[scalar_det(sub(A, I, J)) for J in sets] for I in sets])
+            assert same_bits(linalg.left_minors(A + 0j, k)[-1], [linalg.left_minor(A, I) for I in sets])
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_minors_match_mpmath_within_k_eps_scale(n, dtype):
+    """Every minor of order k >= 4, full table and left-justified, within
+    k eps times its row-norm scale of the 50-digit minor. Each level of the
+    recursion rounds by O(k eps) times the Hadamard bound; the error carried up
+    from the level below can grow by sqrt(k) per level in the worst case, but on
+    these inputs the largest is about 1.2 eps, so c_k = k leaves room without
+    hiding a wrong term, whose error is of the order of the minor itself."""
+    mpmath.mp.dps = 50
+    rng = np.random.default_rng(200 + n)
+    inputs = [rng.normal(size=(n, n)) * 3.0]
+    if dtype is complex:
+        inputs[0] = inputs[0] + 1j * rng.normal(size=(n, n))
+    else:   # a totally positive product: its minors sit far below their scales
+        inputs.append(matrix_inputs(n)[0])
+    eps = np.finfo(float).eps
+    for A in inputs:
+        M = mpmath.matrix(A.tolist())
+        exact = {}   # 50-digit minors by the same expansion, order by order
+        for I in linalg.index_sets(n, 1):
+            for J in linalg.index_sets(n, 1):
+                exact[I, J] = M[I[0] - 1, J[0] - 1]
+        for k in range(2, n + 1):
+            for I in linalg.index_sets(n, k):
+                for J in linalg.index_sets(n, k):
+                    exact[I, J] = alternating([M[I[0] - 1, j - 1] * exact[I[1:], J[:m] + J[m + 1:]]
+                                               for m, j in enumerate(J)])
+        full = tuple(range(1, n + 1))
+        assert abs(exact[full, full] - mpmath.det(M)) <= 1e-40 * row_norm_scale(A)
+        left = linalg.left_minors(A, n)
+        for k, vals in enumerate(linalg.minors(A), 1):
+            if k < 4:
+                continue
+            sets = linalg.index_sets(n, k)
+            first = tuple(range(1, k + 1))
+            scale = linalg.row_norm_scales(A, sets, sets)
+            err = [[abs(complex(vals[a, b]) - exact[I, J]) for b, J in enumerate(sets)]
+                   for a, I in enumerate(sets)]
+            assert np.all(np.array(err, dtype=float) <= k * eps * scale)
+            lerr = [abs(complex(left[k - 1][a]) - exact[I, first]) for a, I in enumerate(sets)]
+            assert np.all(np.array(lerr, dtype=float)
+                          <= k * eps * linalg.row_norm_scales(A, sets, (first,))[:, 0])
 
 
 def matrix_inputs(n):
@@ -179,10 +284,18 @@ def matrix_inputs(n):
     return out
 
 
+def same_decision(v, w):
+    """Equal status and witness index sets (the witness value aside)."""
+    return v.status == w.status and (v.witness is None) == (w.witness is None) and (
+        v.witness is None or (v.witness.rows, v.witness.cols) == (w.witness.rows, w.witness.cols))
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_is_tp_matrix_matches_per_minor_reference(n):
     for M in matrix_inputs(n):
-        assert positivity.is_tp_matrix(M) == ref_is_tp_matrix(M)
+        v = positivity.is_tp_matrix(M)
+        assert v == ref_is_tp_matrix(M)
+        assert same_decision(v, ref_is_tp_matrix(M, lu_scan=True))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -197,9 +310,12 @@ def test_left_minor_verdicts_match_per_minor_reference(n):
     for g in unitaries:
         v = positivity.is_tnn_unitary(g)
         assert v == ref_is_tnn_unitary(g)
+        assert same_decision(v, ref_is_tnn_unitary(g, lu_scan=True))
         statuses.add((v.status, v.note))
         for K in Ks:
-            assert positivity.is_plucker_nonneg(g, K) == ref_is_plucker_nonneg(g, K)
+            v = positivity.is_plucker_nonneg(g, K)
+            assert v == ref_is_plucker_nonneg(g, K)
+            assert same_decision(v, ref_is_plucker_nonneg(g, K, lu_scan=True))
     if n >= 3:
         assert {(POSITIVE, None), (NONNEGATIVE, None), ("outside", "non-real minor")} <= statuses
 
@@ -278,3 +394,26 @@ def test_flag_data_match_per_minor_reference(n):
             num += (sgn * D[tuple(sorted(set(I) | set(Kset)))]
                     * np.conj(D[tuple(sorted(set(J) | set(Kset)))]))
         assert same_bits(flagorbit.projection_minor_closed_form(W, I, J), num / denom)
+
+
+def test_no_minor_family_reaches_lu(monkeypatch):
+    """Every family enumeration runs on the recursion alone: with
+    np.linalg.det gone they all still run. Only a witness of order >= 4,
+    whose value is reported, takes one LU (none here: every verdict is positive)."""
+    rng = np.random.default_rng(3)
+    A, Q = tp_product(rng, 5), q_factor(tp_product(rng, 8))
+    W = rng.normal(size=(8, 5)) + 1j * rng.normal(size=(8, 5))
+    Z = np.vander(np.linspace(0.5, 2.0, 8), 5, increasing=True).T   # positive maximal minors
+
+    def no_lu(*args, **kwargs):
+        raise AssertionError("LU in a minor family")
+
+    monkeypatch.setattr(np.linalg, "det", no_lu)
+    assert len(list(linalg.minors(Q))) == len(linalg.left_minors(Q, 8)) == 8
+    assert positivity.is_tp_matrix(A, positivity.sample_tp_cert_tol(5)).status == POSITIVE
+    assert positivity.is_tnn_unitary(Q).status == POSITIVE
+    assert positivity.is_plucker_nonneg(Q, range(1, 8)).status == POSITIVE
+    V = flagorbit.PartialFlag(8, tuple(range(1, 8)), flagorbit.canonical_tnn_rep(Q))
+    assert len(flagorbit.pluecker(V, 5)) == 56
+    flagorbit.projection_minor_closed_form(W, (1, 2, 3, 4), (2, 3, 5, 8))
+    assert ampli.make_zdata(Z, 1).Z.shape == (5, 8)

@@ -1,9 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from orbitflow import flagorbit, flows, jacobi, linalg, positivity, toda
-from orbitflow.errors import DomainError
+from orbitflow.errors import DomainError, LinalgError
 
 
 def jacobi_start(seed=0, n=3):
@@ -143,3 +144,58 @@ def test_jacobi_cone_preserved_both_directions():
     for t in np.linspace(-3.0, 3.0, 13):
         Lt = toda.toda_symes(P, float(t))
         assert positivity.is_jacobi_cone(-1j * Lt.L).is_nonnegative
+
+
+def mp_symes(L0, t):
+    """50-digit Symes point: exp(-t iL0) from mpmath's Hermitian eigensolver,
+    its QR with the phases of diag(R) moved into Q, and Q* L0 Q."""
+    mpmath.mp.dps = 50
+    L = mpmath.matrix(L0.tolist())
+    w, V = mpmath.eighe(L * 1j)
+    Q, R = mpmath.qr(V * mpmath.diag([mpmath.exp(-t * x) for x in w]) * V.H)
+    for j in range(L0.shape[0]):
+        ph = R[j, j] / abs(R[j, j])
+        for i in range(L0.shape[0]):
+            Q[i, j] *= ph
+    return np.array((Q.H * L * Q).tolist(), dtype=complex)
+
+
+def svd_checked_symes(P, t, max_exp=14.0):
+    """toda_symes as it was: each chunk diagonalises iL and takes k_factor,
+    whose SVD checks that exp(-dt iL) is not singular."""
+    nch = linalg.split_chunks(t, float(P.lam[0] - P.lam[-1]), max_exp)
+    L = P.L.astype(complex)
+    for _ in range(nch):
+        w, W = linalg.herm_eig(1j * L)
+        Q = linalg.k_factor(linalg.exp_eig(w, W, -t / nch))
+        L = linalg.skew_part(Q.conj().T @ L @ Q)
+    return L
+
+
+def test_symes_as_close_to_mpmath_as_the_svd_checked_form():
+    """Single cases differ either way by rounding, so the comparison is the
+    geometric mean of the errors over one- and multi-chunk times, n = 3-6."""
+    rng = np.random.default_rng(8)
+    new, old = [], []
+    for n in (3, 4, 5, 6):
+        for _ in range(2):
+            lam = np.sort(rng.uniform(-2, 2, size=n))[::-1]
+            P = flagorbit.orbit_point(
+                jacobi.jacobi_from_moser(jacobi.moser_data(lam, rng.uniform(0.3, 2.0, size=n))).L)
+            diam = lam[0] - lam[-1]
+            for t in (0.7, -1.9, 20.0 / diam, -45.0 / diam):
+                ref = mp_symes(P.L, t)
+                new.append(np.abs(toda.toda_symes(P, t).L - ref).max())
+                old.append(np.abs(svd_checked_symes(P, t) - ref).max())
+    assert max(new) < 1e-12
+    assert np.exp(np.mean(np.log(new) - np.log(old))) <= 1.25
+
+
+def test_symes_refuses_a_singular_chunk_as_the_svd_did():
+    P = jacobi_start(seed=3)
+    t = 30.0 / float(P.lam[0] - P.lam[-1])   # one chunk with dt * diam = 30: ratio exp(-30) < RANK_RTOL
+    with pytest.raises(LinalgError, match="singular"):
+        svd_checked_symes(P, t, max_exp=30.0)
+    with pytest.raises(LinalgError, match="singular"):
+        toda.toda_symes(P, t, max_exp=30.0)
+    toda.toda_symes(P, 0.5 * t, max_exp=30.0)   # exp(-15) is above it
