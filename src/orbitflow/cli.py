@@ -59,9 +59,12 @@ def _check_needs(args):
 
 
 def _orbit_from_path(path, lam=None):
+    """The orbit point of an orbit or matrix JSON file; lam, if given, is
+    checked against its spectrum either way."""
     obj = _load_json(path)
     if isinstance(obj, dict) and "L" in obj:
-        return io.orbit_from_json(obj)
+        P = io.orbit_from_json(obj)
+        return P if lam is None else flagorbit.orbit_point(P.L, lam=lam)
     return flagorbit.orbit_point(io.matrix_from_json(obj), lam=lam)
 
 
@@ -96,7 +99,7 @@ def cmd_positivity(args, out):
     elif args.kind == "plucker":
         if not args.K:
             raise LinalgError("field 'K' is required for --kind plucker")
-        v = positivity.is_plucker_nonneg(M, [int(k) for k in _parse_floats(args.K, "K")], tol)
+        v = positivity.is_plucker_nonneg(M, [io.as_int(k, "field 'K'") for k in args.K.split(",") if k], tol)
     else:
         raise LinalgError(f"unknown kind {args.kind!r}")
     _emit(io.verdict_to_json(v), out)
@@ -107,10 +110,7 @@ def cmd_twist(args, out):
     if args.n is not None:
         obj = _load_json(args.infile)
         rows = obj.get("rows", obj.get("n")) if isinstance(obj, dict) else None
-        try:
-            size = None if rows is None else int(rows)
-        except (TypeError, ValueError) as exc:
-            raise LinalgError(f"field 'rows'/'n' must be an integer: {exc}")
+        size = None if rows is None else io.as_int(rows, "field 'rows'/'n'")
         if size is not None and size != args.n:
             raise LinalgError(f"field 'rows'/'n' is {rows}, expected {args.n}")
     if args.map == "iota":
@@ -141,10 +141,8 @@ def cmd_cell(args, out):
 
 
 def cmd_flow(args, out):
-    lam = np.array(_parse_floats(args.lam, "lambda")) if args.lam else None
-    P = _orbit_from_path(args.infile, lam=lam)
-    if lam is None:
-        lam = P.lam
+    P = _orbit_from_path(args.infile, lam=_parse_floats(args.lam, "lambda") if args.lam else None)
+    lam = P.lam
     if args.N:
         N = io.matrix_from_json(_load_json(args.N))
         if N.shape != (len(lam), len(lam)):

@@ -110,7 +110,8 @@ def canonical_tnn_rep(A, chart_atol=CHART_ATOL):
 
     Column phases are first normalized (largest-modulus entry positive real);
     a residual imaginary part means the flag has no real representative.
-    The chart sums S_k are computed once, on the unflipped representative, each
+    The chart sums S_k are computed once, on the unflipped real representative
+    in float64 (its complex copy gives the same real parts, bit for bit), each
     order's minors in one batch summed left to right; |S_k| <= chart_atol means
     the flag is outside the chart, where the map is undefined. Column k's sign
     is sign(S_k) sign(S_(k-1)), S_0 = 1: negating a column negates each minor
@@ -124,7 +125,7 @@ def canonical_tnn_rep(A, chart_atol=CHART_ATOL):
     if np.abs(g.imag).max() > 1e-8:
         raise DomainError("canonical_tnn_rep: flag admits no real orthogonal representative")
     gr = np.linalg.qr(g.real)[0]
-    S = np.array([sum(v.real.tolist()) for v in linalg.left_minors(gr.astype(complex), n)])
+    S = np.array([sum(v.tolist()) for v in linalg.left_minors(gr, n)])
     if np.any(np.abs(S) <= chart_atol):
         raise DomainError("canonical_tnn_rep: flag lies outside the totally nonnegative chart")
     sign = np.sign(S)

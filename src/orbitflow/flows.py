@@ -153,10 +153,15 @@ def kahler_flow(L0, N, t):
 
 def kahler_flow_projection(L0, N, t):
     """Same point via the projection formula: each P_k(t) is the orthogonal
-    projection onto exp(t iN) V_k(0); no Iwasawa decomposition involved."""
+    projection onto exp(t iN) V_k(0), spanned by the first k columns of Q. Q
+    is carried through the split_chunks steps exp(dt iN), one QR each, which
+    keeps every column prefix's span; no Iwasawa factor is taken."""
     N = linalg.check_skew(N, "flow driver N")
     mu, W = linalg.herm_eig(1j * N)
-    Q = np.linalg.qr(linalg.exp_eig(mu, W, t) @ _eig_rep(L0))[0]   # its prefixes: those of each k
+    nch = linalg.split_chunks(t, float(mu[0] - mu[-1]))
+    E, Q = linalg.exp_eig(mu, W, t / nch), _eig_rep(L0)
+    for _ in range(nch):
+        Q = np.linalg.qr(E @ Q)[0]
     return _from_projections(L0.lam, L0.K, [Q[:, :k] for k in L0.K])
 
 

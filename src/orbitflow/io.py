@@ -13,6 +13,17 @@ from . import ampli, flagorbit
 from .errors import LinalgError
 
 
+def as_int(value, what):
+    """value as an int if it is one exactly (3, 3.0, "3"), else LinalgError (1.5, "a", nan)."""
+    try:
+        out = int(value)
+        if out != value and not isinstance(value, str):
+            raise ValueError(f"{value!r} is not an integer")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise LinalgError(f"{what} must be an integer: {exc}")
+    return out
+
+
 def matrix_to_json(A):
     A = np.asarray(A, dtype=complex)
     return {
@@ -26,10 +37,7 @@ def matrix_from_json(obj):
     for field in ("rows", "cols", "data"):
         if not isinstance(obj, dict) or field not in obj:
             raise LinalgError(f"matrix JSON missing field {field!r}")
-    try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
-    except (TypeError, ValueError) as exc:
-        raise LinalgError(f"matrix JSON fields 'rows' and 'cols' must be integers: {exc}")
+    rows, cols = (as_int(obj[f], f"matrix JSON field {f!r}") for f in ("rows", "cols"))
     data = obj["data"]
     if min(rows, cols) < 0 or not isinstance(data, list):
         raise LinalgError("matrix JSON needs 'rows' and 'cols' >= 0 and a list in 'data'")
@@ -50,10 +58,9 @@ def flag_from_json(obj):
     for field in ("n", "K", "rep"):
         if not isinstance(obj, dict) or field not in obj:
             raise LinalgError(f"flag JSON missing field {field!r}")
-    try:
-        K = [int(k) for k in obj["K"]]
-    except (TypeError, ValueError) as exc:
-        raise LinalgError(f"flag JSON field 'K' must be a list of integers: {exc}")
+    if not isinstance(obj["K"], list):
+        raise LinalgError("flag JSON field 'K' must be a list of integers")
+    K = [as_int(k, "flag JSON field 'K'") for k in obj["K"]]
     return flagorbit.flag_from_matrix(matrix_from_json(obj["rep"]), K=K)
 
 
@@ -80,9 +87,9 @@ def zdata_from_json(obj):
     for field in ("n", "k", "m", "Z"):
         if not isinstance(obj, dict) or field not in obj:
             raise LinalgError(f"Z JSON missing field {field!r}")
-    Z = matrix_from_json(obj["Z"])
-    zd = ampli.make_zdata(Z, obj["k"])
-    if zd.n != int(obj["n"]) or zd.m != int(obj["m"]):
+    n, k, m = (as_int(obj[f], f"Z JSON field {f!r}") for f in ("n", "k", "m"))
+    zd = ampli.make_zdata(matrix_from_json(obj["Z"]), k)
+    if zd.n != n or zd.m != m:
         raise LinalgError("Z JSON fields 'n'/'m' are inconsistent with the matrix shape")
     return zd
 

@@ -11,7 +11,11 @@ and k adds, and no LU. Orders k <= 3 are the closed forms of _dets, bit for
 bit. Above, each level rounds by O(k eps) times the Hadamard bound (the product
 of the submatrix's row norms), so a minor is accurate to a small multiple of
 eps times that scale, not to its own value; a value that is reported, such as
-a verdict's witness, comes from one _det (LU) of its submatrix.
+a verdict's witness, comes from one _det of its submatrix of the matrix as
+given (complex). A real matrix's minors are taken in float64: _mul dispatches
+on the dtype, and with every imaginary part 0 a complex product's real part is
+the real product exactly, so these are the complex family's real parts, bit
+for bit up to the sign of a zero, at about half the cost.
 """
 
 from dataclasses import dataclass

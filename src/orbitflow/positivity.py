@@ -55,16 +55,16 @@ def _verdict(batches, tol, value, note=None, nonreal_note=None, allow_positive=T
     """Verdict from batches (rows, cols, minors, scale) of one order each. The
     witness is the first smallest minor / scale, as a sequential `<` scan
     finds it; a minor with |imag| > tol * scale is outside at once. The value a
-    witness of order k >= 4 reports is value(rows, cols), one LU of its
-    submatrix: the batches' minors are accurate to eps times their scale, not to
-    their value (below, they are _det's closed forms already). A
-    non-finite minor or scale (overflow) raises: no verdict may rest on the
+    witness reports is value(rows, cols), one _det of its submatrix in the
+    matrix as given (LU above order 3): the batches' minors are accurate to eps
+    times their scale, not to their value, and may be taken in a smaller field.
+    A non-finite minor or scale (overflow) raises: no verdict may rest on the
     orders that did not overflow."""
     worst, worst_w = np.inf, None
 
     def witness(vals, rows, cols, i):
         a, b = divmod(i, len(cols))
-        return rows[a], cols[b], vals.flat[i] if len(cols[b]) <= 3 else value(rows[a], cols[b])
+        return rows[a], cols[b], value(rows[a], cols[b])
 
     with np.errstate(over="ignore", invalid="ignore"):   # overflow is reported below
         for rows, cols, vals, scale in batches:
@@ -95,8 +95,8 @@ def is_tp_matrix(M, tol=1e-9):
     Every minor is compared against tol times the product of the row norms of its
     submatrix (its Hadamard bound); n <= 8. The minors come from linalg.minors,
     each order by Laplace expansion against the order below, accurate to a small
-    multiple of eps times that scale; the witness reports the value of one LU of
-    its submatrix.
+    multiple of eps times that scale; the witness reports the value of one _det
+    of its submatrix.
     """
     linalg.check_tol(tol)
     A = linalg.square(M)
@@ -140,8 +140,10 @@ def is_tnn_unitary(g, tol=1e-9):
     """Certify a unitary matrix as totally positive / nonnegative.
 
     Positive means all left-justified minors are positive real numbers. They
-    all come from linalg.left_minors; positivity is read off those on
-    consecutive rows alone (Fekete), nonnegativity off all of them.
+    all come from linalg.left_minors, in float64 when g has no imaginary part
+    (the same bits as the real parts of the complex ones); positivity is read
+    off those on consecutive rows alone (Fekete), nonnegativity off all of them.
+    A witness value is one _det of its submatrix of g as given.
     """
     linalg.check_tol(tol)
     A = linalg.square(g)
@@ -150,10 +152,11 @@ def is_tnn_unitary(g, tol=1e-9):
         raise DomainError("is_tnn_unitary: input is not unitary within tolerance")
     if n > MAX_EXHAUSTIVE_N:
         raise LinalgError(f"is_tnn_unitary: exhaustive minor test capped at n = {MAX_EXHAUSTIVE_N}")
+    R = A if A.imag.any() else A.real
     batches = []
-    for k, vals in enumerate(linalg.left_minors(A, n), 1):
+    for k, vals in enumerate(linalg.left_minors(R, n), 1):
         rows, cols = _left_sets(n, k)
-        batches.append((rows, cols, vals[:, None], linalg.row_norm_scales(A, rows, cols)))
+        batches.append((rows, cols, vals[:, None], linalg.row_norm_scales(R, rows, cols)))
     # Fekete fast path: consecutive-row minors positive => totally positive.
     for rows, _, vals, s in batches:
         r = linalg._rows(rows)
@@ -172,9 +175,12 @@ def is_plucker_nonneg(rep, K, tol=1e-9):
     of rep, for each order k in K.
 
     Coordinates of each order are normalized so the largest-modulus one is
-    positive real, all of one order computed in one batch. For consecutive K
-    this coincides with Lusztig positivity; otherwise only the Plucker notion
-    is certified.
+    positive real, all of one order computed in one batch, in float64 when rep
+    has no imaginary part. The phase is still that of the complex coordinate
+    (a numpy complex division, which can be 1 ulp off +-1), and a witness value
+    is one _det of its submatrix of rep as given, divided by it. For
+    consecutive K this coincides with Lusztig positivity; otherwise only the
+    Plucker notion is certified.
     """
     linalg.check_tol(tol)
     A = linalg.square(rep)
@@ -191,13 +197,13 @@ def is_plucker_nonneg(rep, K, tol=1e-9):
     phases = {}
 
     def batches():
-        tables = linalg.left_minors(A, K[-1])
+        tables = linalg.left_minors(A if A.imag.any() else A.real, K[-1])
         for k in K:
             vals = tables[k - 1]
             top = np.abs(vals).max()
             if top <= 0.0:
                 raise DomainError("is_plucker_nonneg: degenerate representative")
-            phases[k] = linalg.unit_phases(vals)
+            phases[k] = linalg.unit_phases(vals.astype(complex))
             yield *_left_sets(n, k), (vals / phases[k])[:, None], top
 
     return _verdict(batches(), tol, lambda I, J: linalg._minor(A, I, J) / phases[len(I)], note=note,

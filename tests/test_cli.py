@@ -376,3 +376,31 @@ def test_malformed_orbit_lambda_exits_2(tmp_path, capsys):
         assert_malformed(capsys, ["toda", "--in", str(path), "--t1", "1", "--samples", "3"])
         assert_malformed(capsys, ["flow", "--metric", "kahler", "--in", str(path),
                                   "--t1", "1", "--samples", "3"])
+
+
+@pytest.mark.parametrize("K", ["nan", "inf", "1.5", "1,2.0", "1e0"])
+def test_non_integer_plucker_K_exits_2(tmp_path, capsys, K):
+    eye = write_matrix(tmp_path, "eye.json", np.eye(3))
+    assert_malformed(capsys, ["positivity", "--kind", "plucker", "--K", K, "--in", eye])
+
+
+def test_non_integer_Z_fields_exit_2(tmp_path, capsys):
+    rc, out = run_cli(["ampli", "build-Z", "--lambda", "1,0,-1", "--x", "1,1,1", "--r", "2", "--k", "1"])
+    assert rc == 0
+    V = write_matrix(tmp_path, "V.json", np.ones((3, 1)))
+    zpath = tmp_path / "Z.json"
+    for field, value in (("k", "a"), ("k", None), ("k", 1.5), ("n", "a"), ("m", [1])):
+        zpath.write_text(json.dumps({**json.loads(out), field: value}))
+        assert_malformed(capsys, ["ampli", "sample", "--Z", str(zpath), "--count", "1"])
+        assert_malformed(capsys, ["ampli", "zmap", "--Z", str(zpath), "--V", V])
+
+
+def test_flow_lambda_checked_against_orbit_json(tmp_path, capsys):
+    rc, out = run_cli(["jacobi", "from-moser", "--lambda", "1,0,-1", "--x", "1,2,0.5"])
+    path = tmp_path / "orbit.json"
+    path.write_text(out)
+    for metric in ("kahler", "normal"):
+        assert_malformed(capsys, ["flow", "--metric", metric, "--lambda", "1,0", "--in", str(path),
+                                  "--t1", "1", "--samples", "3"])
+    argv = ["flow", "--metric", "kahler", "--in", str(path), "--t1", "1", "--samples", "3"]
+    assert run_cli(argv) == run_cli(argv[:3] + ["--lambda", "1,0,-1"] + argv[3:])

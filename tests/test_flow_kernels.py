@@ -7,6 +7,7 @@ same values within a rounding tolerance).
 
 import time
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -507,28 +508,57 @@ def test_max_drift_without_diagnostics():
     assert ode.max_drift() == max(d["spectrum_drift"] for d in ode.diagnostics)
 
 
-def test_projection_prefix_frames_match_per_order_qrs():
-    """kahler_flow_projection's frames are the column prefixes of one QR of
-    E U; the QR of each prefix (E U)[:, :k] gives the same bits. The product
-    E @ U[:, :k] of the per-order form rounds differently from the prefix of
-    E @ U (BLAS picks its kernel by shape), so that form agrees only to the
-    conditioning of exp(t iN) U: on these inputs both forms are up to 2.3e-10
-    from the 50-digit projection."""
+def projection_inputs():
+    """Orbit points (simple and two-cluster spectra), drivers and times at
+    n = 2..8; the largest times need several chunks."""
     rng = np.random.default_rng(29)
     for n in range(2, 9):
         for lam in (np.sort(rng.normal(size=n))[::-1], np.repeat([1.0, -1.0], [n // 2, n - n // 2])):
             P0 = random_orbit_point(rng, lam)
             N = random_skew(rng, n)
-            mu, W = linalg.herm_eig(1j * N)
-            U = linalg.herm_eig(-1j * P0.L)[1]
             for t in (-1.3, 0.2, 2.5):
-                E = linalg.exp_eig(mu, W, t)
-                got = flows.kahler_flow_projection(P0, N, t).L
-                ref = flows._from_projections(P0.lam, P0.K, [np.linalg.qr((E @ U)[:, :k])[0] for k in P0.K])
-                assert got.tobytes() == ref.L.tobytes()
-                per_order = flows._from_projections(P0.lam, P0.K,
-                                                    [np.linalg.qr(E @ U[:, :k])[0] for k in P0.K])
-                assert np.abs(got - per_order.L).max() <= 1e-9
+                yield P0, N, t
+
+
+def test_projection_prefix_frames_match_per_order_qrs():
+    """kahler_flow_projection's frames are the column prefixes of the last QR
+    of its chunk chain Q <- qr(E Q), E = exp(dt iN), dt = t / split_chunks;
+    the QR of each prefix (E Q)[:, :k] of that last step gives the same bits.
+    The product E @ Q[:, :k] of the per-order form rounds differently from the
+    prefix of E @ Q (BLAS picks its kernel by shape), so that form agrees only
+    to the conditioning of exp(dt iN) Q."""
+    chunked = 0
+    for P0, N, t in projection_inputs():
+        mu, W = linalg.herm_eig(1j * N)
+        nch = linalg.split_chunks(t, float(mu[0] - mu[-1]))
+        E, Q = linalg.exp_eig(mu, W, t / nch), linalg.herm_eig(-1j * P0.L)[1]
+        for _ in range(nch - 1):
+            Q = np.linalg.qr(E @ Q)[0]
+        chunked += nch > 1
+        got = flows.kahler_flow_projection(P0, N, t).L
+        ref = flows._from_projections(P0.lam, P0.K, [np.linalg.qr((E @ Q)[:, :k])[0] for k in P0.K])
+        assert got.tobytes() == ref.L.tobytes()
+        per_order = flows._from_projections(P0.lam, P0.K, [np.linalg.qr(E @ Q[:, :k])[0] for k in P0.K])
+        assert np.abs(got - per_order.L).max() <= 1e-9
+    assert chunked >= 5
+
+
+def test_projection_matches_mpmath_within_1e_12():
+    """The chunked projection formula against the same formula at 50 digits,
+    P_k = V_k (V_k* V_k)^-1 V_k* with V = exp(t iN) U: within 1e-12 (about
+    1.7e-13 here, as close as the chunked Kahler closed form; in one piece it
+    was up to 2.3e-10 off at t = 2.5, n = 8)."""
+    mpmath.mp.dps = 50
+    for P0, N, t in projection_inputs():
+        n = len(P0.lam)
+        V = mpmath.expm(mpmath.matrix((1j * t * N).tolist())) * mpmath.matrix(
+            linalg.herm_eig(-1j * P0.L)[1].tolist())
+        M = mpmath.eye(n) * float(P0.lam[-1])
+        for k in P0.K:
+            Vk = V[:, :k]
+            M += float(P0.lam[k - 1] - P0.lam[k]) * (Vk * mpmath.inverse(Vk.H * Vk) * Vk.H)
+        ref = np.array((1j * M).tolist(), dtype=complex)
+        assert np.abs(flows.kahler_flow_projection(P0, N, t).L - ref).max() <= 1e-12
 
 
 def test_orbit_point_eigenbasis_is_reused_bit_for_bit():

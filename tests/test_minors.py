@@ -417,3 +417,101 @@ def test_no_minor_family_reaches_lu(monkeypatch):
     assert len(flagorbit.pluecker(V, 5)) == 56
     flagorbit.projection_minor_closed_form(W, (1, 2, 3, 4), (2, 3, 5, 8))
     assert ampli.make_zdata(Z, 1).Z.shape == (5, 8)
+
+
+def real_inputs(n):
+    """Real matrices whose minors the callers take in float64: random, totally
+    positive products, and signed permutations whose zeros are 0.0 and -0.0."""
+    rng = np.random.default_rng(17 * n)
+    P = signed_perm_matrix(rng, n)
+    P[(P == 0) & (rng.random((n, n)) < 0.5)] = -0.0
+    return [rng.normal(size=(n, n)), tp_product(rng, n), P, -P]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_real_minor_tables_are_the_real_parts_of_the_complex_ones(n):
+    """With every imaginary part 0 a complex product's real part is the real
+    product exactly, so the float64 tables equal the complex copy's real parts
+    (up to the sign of a zero) and the complex ones have no imaginary part."""
+    for R in real_inputs(n):
+        C = R.astype(complex)
+        assert np.signbit(C.real).tolist() == np.signbit(R).tolist()
+        pairs = list(zip(linalg.minors(R), linalg.minors(C))) + list(zip(linalg.left_minors(R, n),
+                                                                         linalg.left_minors(C, n)))
+        assert len(pairs) == 2 * n
+        for real, cplx in pairs:
+            assert real.dtype == float and cplx.dtype == complex
+            assert np.array_equal(real, cplx.real) and not cplx.imag.any()
+        for k in range(1, n + 1):
+            sets, first = linalg.index_sets(n, k), linalg.index_sets(k, k)
+            for cols in (sets, first):
+                assert same_bits(linalg.row_norm_scales(R, sets, cols), linalg.row_norm_scales(C, sets, cols))
+
+
+def forced_complex(monkeypatch, f, *args):
+    """f(*args) with every minor table and row-norm scale taken on a complex copy."""
+    with monkeypatch.context() as m:
+        for name in ("left_minors", "row_norm_scales"):
+            m.setattr(linalg, name,
+                      lambda M, *a, g=getattr(linalg, name): g(np.asarray(M, dtype=complex), *a))
+        return f(*args)
+
+
+def exact(v):
+    """A verdict with its witness value as float.hex: equal exactly, zero signs aside."""
+    w = v.witness and (v.witness.rows, v.witness.cols, float(v.witness.value + 0.0).hex())
+    return v.status, v.note, v.tol, w
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_real_input_verdicts_match_complex_minors(n, monkeypatch):
+    """is_tnn_unitary and is_plucker_nonneg take a real input's minors in
+    float64 and still give the verdicts of complex minors, witness values to
+    the bit. The last input's top coordinate 6.125 has the numpy complex phase
+    6.125 (1 / 6.125) = 1 - 2^-53, so dividing by a real phase, exactly 1,
+    would move its witness value by one ulp."""
+    rng = np.random.default_rng(19 * n)
+    unitaries = [q_factor(M) for M in real_inputs(n) + matrix_inputs(n)]
+    reps = unitaries + [M for M in real_inputs(n) if np.linalg.svd(M, compute_uv=False)[-1] > 1e-6]
+    if n >= 2:
+        B = np.eye(n)
+        B[:, 0] = [6.125, -1.0, 0.5, *rng.uniform(-1, 1, max(n - 3, 0))][:n]
+        reps.append(B)
+    Ks = [tuple(range(1, n)), (1,), tuple(range(1, n, 2))] if n >= 2 else []
+    statuses = set()
+    for g in unitaries:
+        v = positivity.is_tnn_unitary(g)
+        assert exact(v) == exact(forced_complex(monkeypatch, positivity.is_tnn_unitary, g))
+        statuses.add(v.status)
+    for g in reps:
+        for K in Ks:
+            v = positivity.is_plucker_nonneg(g, K)
+            assert exact(v) == exact(forced_complex(monkeypatch, positivity.is_plucker_nonneg, g, K))
+            statuses.add(v.status)
+    if n >= 2:
+        v = positivity.is_plucker_nonneg(B, (1,))
+        assert v.status == OUTSIDE and v.witness.rows == (2,) and v.witness.value == -1 / (1 - 2 ** -53)
+    if n >= 3:
+        assert {POSITIVE, NONNEGATIVE, OUTSIDE} <= statuses
+
+
+def test_real_input_minors_take_no_complex_product(monkeypatch):
+    """On real input, canonical_tnn_rep and the two testers multiply in float64
+    only: a wrapped _mul sees no complex operand. (A verdict with a witness of
+    order >= 2 takes one complex _det of it, of the matrix as given; these
+    verdicts are positive.)"""
+    seen = []
+
+    def mul(a, b, f=linalg._mul):
+        seen.append(np.iscomplexobj(a) or np.iscomplexobj(b))
+        return f(a, b)
+
+    rng = np.random.default_rng(23)
+    reps = [q_factor(tp_product(rng, n)) for n in range(2, 9)]
+    monkeypatch.setattr(linalg, "_mul", mul)
+    for Q in reps:
+        n = Q.shape[0]
+        assert np.abs(flagorbit.canonical_tnn_rep(Q) - Q).max() < 1e-12
+        assert positivity.is_tnn_unitary(Q).status == POSITIVE
+        assert positivity.is_plucker_nonneg(Q, range(1, n)).status == POSITIVE
+    assert seen and not any(seen)
