@@ -118,10 +118,7 @@ def twisted_vdm_Z(d, r, k=None):
     if not (1 <= r <= len(d.lam)):
         raise LinalgError("twisted_vdm_Z: need 1 <= r <= n")
     tw = flagorbit.twist_flag(jacobi.vandermonde_flag(d))
-    Z = np.real(tw.rep[:, :r]).T.copy()
-    if k is None:
-        k = r
-    return make_zdata(Z, k)
+    return make_zdata(tw.rep[:, :r].T, r if k is None else k)
 
 
 def sample_amplituhedron(zd, count, rng):

@@ -32,13 +32,6 @@ def _emit_lines(lines, out):
         out.write(line + "\n")
 
 
-def _parse_floats(text, field):
-    try:
-        return [float(x) for x in text.split(",") if x != ""]
-    except ValueError as exc:
-        raise LinalgError(f"field {field!r} must be a comma-separated float list: {exc}")
-
-
 # the options each jacobi / ampli action reads, checked before it runs
 _NEEDS = {
     "from-moser": ("--lambda", "--x"),
@@ -85,7 +78,7 @@ def cmd_positivity(args, out):
         if args.kind in ("tp", "jacobi"):
             M = -1j * P.L
         else:
-            M = flagorbit.canonical_tnn_rep(flagorbit.orbit_to_flag(P).rep)
+            M = flagorbit.canonical_tnn_rep(flagorbit.orbit_eigenbasis(P)[0])
     elif isinstance(obj, dict) and "rep" in obj:
         M = io.matrix_from_json(obj["rep"])
     else:
@@ -99,7 +92,7 @@ def cmd_positivity(args, out):
     elif args.kind == "plucker":
         if not args.K:
             raise LinalgError("field 'K' is required for --kind plucker")
-        v = positivity.is_plucker_nonneg(M, [io.as_int(k, "field 'K'") for k in args.K.split(",") if k], tol)
+        v = positivity.is_plucker_nonneg(M, [io.as_int(k, "field 'K'") for k in args.K.split(",")], tol)
     else:
         raise LinalgError(f"unknown kind {args.kind!r}")
     _emit(io.verdict_to_json(v), out)
@@ -141,7 +134,7 @@ def cmd_cell(args, out):
 
 
 def cmd_flow(args, out):
-    P = _orbit_from_path(args.infile, lam=_parse_floats(args.lam, "lambda") if args.lam else None)
+    P = _orbit_from_path(args.infile, lam=io.as_floats(args.lam, "field 'lambda'") if args.lam else None)
     lam = P.lam
     if args.N:
         N = io.matrix_from_json(_load_json(args.N))
@@ -187,7 +180,7 @@ def cmd_toda(args, out):
 def cmd_jacobi(args, out):
     _check_needs(args)
     if args.action == "from-moser":
-        d = jacobi.moser_data(_parse_floats(args.lam, "lambda"), _parse_floats(args.x, "x"))
+        d = jacobi.moser_data(io.as_floats(args.lam, "field 'lambda'"), io.as_floats(args.x, "field 'x'"))
         _emit(io.orbit_to_json(jacobi.jacobi_from_moser(d)), out)
     elif args.action == "to-moser":
         P = _orbit_from_path(args.infile)
@@ -206,7 +199,7 @@ def cmd_jacobi(args, out):
 def cmd_ampli(args, out):
     _check_needs(args)
     if args.action == "build-Z":
-        d = jacobi.moser_data(_parse_floats(args.lam, "lambda"), _parse_floats(args.x, "x"))
+        d = jacobi.moser_data(io.as_floats(args.lam, "field 'lambda'"), io.as_floats(args.x, "field 'x'"))
         zd = ampli.twisted_vdm_Z(d, args.r, k=args.k)
         _emit(io.zdata_to_json(zd), out)
         return 0

@@ -39,7 +39,7 @@ class PartialFlag:
 class OrbitPoint:
     """L with the spectrum lam of -iL and its dimension set K. eig is the pair
     (w, U) of linalg.herm_eig(-1j L) when orbit_point computed it, else None;
-    the flows reuse it as L's eigenbasis. It takes no part in comparisons."""
+    orbit_eig reads it, never writes it. It takes no part in comparisons."""
     L: np.ndarray
     lam: np.ndarray
     K: tuple
@@ -106,7 +106,8 @@ def orbit_from_rep(g, lam, K):
 
 def canonical_tnn_rep(A, chart_atol=CHART_ATOL):
     """Canonical real orthogonal representative of a flag in the totally
-    nonnegative chart: every order-k sum of left-justified minors is positive.
+    nonnegative chart, as a float64 matrix: every order-k sum of left-justified
+    minors is positive.
 
     Column phases are first normalized (largest-modulus entry positive real);
     a residual imaginary part means the flag has no real representative.
@@ -129,7 +130,7 @@ def canonical_tnn_rep(A, chart_atol=CHART_ATOL):
     if np.any(np.abs(S) <= chart_atol):
         raise DomainError("canonical_tnn_rep: flag lies outside the totally nonnegative chart")
     sign = np.sign(S)
-    return (gr * sign * np.append(1.0, sign[:-1])).astype(complex)
+    return gr * sign * np.append(1.0, sign[:-1])
 
 
 def pluecker(V, k):
@@ -152,18 +153,33 @@ def flag_to_orbit(V, lam):
     return orbit_from_rep(V.rep, lam, V.K)
 
 
+def orbit_eig(P):
+    """The pair (w, U) of linalg.herm_eig(-1j L): the one orbit_point cached on
+    P.eig, else computed. Callers must not write into it."""
+    return P.eig or linalg.herm_eig(-1j * P.L)
+
+
+def orbit_eigenbasis(P):
+    """Eigenvectors of -iL by decreasing eigenvalue, each cluster's block
+    orthonormalized by QR (in a copy of orbit_eig's U), and the dimension set
+    from the clustering rule (empty for a point orbit)."""
+    w, U = orbit_eig(P)
+    blocks = linalg.cluster_blocks(w)
+    U = U.copy()
+    for (a, b) in blocks:
+        if b - a > 1:
+            U[:, a:b] = np.linalg.qr(U[:, a:b])[0]
+    return U, tuple(stop for _, stop in blocks[:-1])
+
+
 def orbit_to_flag(P):
-    """Eigenflag of -iL with decreasing eigenvalues and canonical column signs.
+    """Eigenflag of -iL with decreasing eigenvalues and canonical column signs,
+    from the eigendecomposition orbit_point cached on P, if any.
 
     Totally nonnegative orbit points get the chart-canonical real
     representative; otherwise columns are phase-normalized only.
     """
-    w, U = linalg.herm_eig(-1j * P.L)
-    blocks = linalg.cluster_blocks(w)
-    for (a, b) in blocks:
-        if b - a > 1:
-            U[:, a:b] = np.linalg.qr(U[:, a:b])[0]
-    K = tuple(stop for _, stop in blocks[:-1])   # empty for a point orbit
+    U, K = orbit_eigenbasis(P)
     return PartialFlag(P.L.shape[0], K, _canonical_or_phased(U))
 
 
@@ -241,15 +257,23 @@ def dual_flag(V):
     return PartialFlag(n, Kperp, rep)
 
 
+def _iota(g):
+    """iota(g) = delta g* delta, which is delta g^{-1} delta for a unitary g
+    (unchecked), over the last two axes."""
+    d = perms.delta_matrix(g.shape[-1])
+    return d @ g.conj().swapaxes(-1, -2) @ d
+
+
 def twist_unitary(g):
-    """iota(g) = delta g^{-1} delta."""
+    """iota(g) = delta g^{-1} delta: _iota for a unitary g (defect <= 1e-10, so
+    never singular), else the inverse, after an SVD singularity check."""
     A = linalg.square(g)
+    if linalg.unitary_defect(A) <= 1e-10:
+        return _iota(A)
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] <= linalg.RANK_RTOL * sv[0]:
         raise LinalgError("twist_unitary: singular input")
     d = perms.delta_matrix(A.shape[0])
-    if linalg.unitary_defect(A) <= 1e-10:
-        return d @ A.conj().T @ d
     return d @ np.linalg.inv(A) @ d
 
 
@@ -261,31 +285,23 @@ def twist_flag(V):
     """
     if tuple(V.K) != complete_K(V.n):
         raise DomainError("twist_flag: the twist map is defined on complete flags")
-    g = canonical_tnn_rep(V.rep)
-    d = perms.delta_matrix(V.n)
-    h = d @ g.real.T @ d
-    h = canonical_tnn_rep(h)
-    return PartialFlag(V.n, tuple(V.K), h)
+    return PartialFlag(V.n, tuple(V.K), canonical_tnn_rep(_iota(canonical_tnn_rep(V.rep))))
 
 
 def twist_orbit(P):
     """Orbit twist: g (i diag lam) g^{-1} -> delta g^{-1} (i diag lam) g delta,
-    with g the canonical totally nonnegative representative."""
+    with g the canonical totally nonnegative representative of the eigenbasis."""
     if not linalg.is_strictly_decreasing(P.lam):
         raise DomainError("twist_orbit: eigenvalues must be strictly decreasing")
-    V = orbit_to_flag(P)
-    g = canonical_tnn_rep(V.rep)
-    d = perms.delta_matrix(P.L.shape[0])
-    return orbit_from_rep((d @ g.real.T @ d).astype(complex), P.lam, P.K)
+    return orbit_from_rep(_iota(canonical_tnn_rep(orbit_eigenbasis(P)[0])), P.lam, P.K)
 
 
 def eigenflag(g):
     """Flag of nested spans of leading eigenvectors, ordered by decreasing
     eigenvalue (modulus first); dimension set from the clustering rule."""
     w, Vv = linalg.general_eig(g)
-    blocks = linalg.cluster_blocks(w)
+    K = linalg.multiplicity_set(w)
     rep = _canonical_or_phased(linalg.k_factor(Vv))
-    K = tuple(stop for _, stop in blocks[:-1])
     return PartialFlag(len(w), K if K else complete_K(len(w)), rep)
 
 
@@ -319,7 +335,7 @@ def locate_cell(V, tol=linalg.RANK_RTOL):
     linalg.check_tol(tol)
     if tuple(V.K) != complete_K(V.n):
         raise DomainError("locate_cell: complete flags only")
-    g = np.real(canonical_tnn_rep(V.rep))
+    g = canonical_tnn_rep(V.rep)
     n = V.n
     ranks, ambiguous = _corner_ranks(g, tol)
     jumps = np.diff(ranks, axis=-1, prepend=0) == 1           # [t, i-1, j-1]

@@ -13,7 +13,7 @@ from math import ceil
 
 import numpy as np
 
-from . import flagorbit, linalg
+from . import flagorbit, linalg, perms
 from .errors import DomainError, DriftError, LinalgError
 from .flagorbit import OrbitPoint
 
@@ -77,12 +77,6 @@ def lyapunov(L, N):
     return -killing(L, N)
 
 
-def _eig_rep(P):
-    """Unitary eigenbasis of -iL ordered by the cached decreasing spectrum: the
-    one orbit_point kept on P, else computed as orbit_point computes it."""
-    return (P.eig or linalg.herm_eig(-1j * P.L))[1]
-
-
 def _offcluster_mask(lam):
     """(n, n) mask of the index pairs (i, j) with lam_i and lam_j in different clusters."""
     labels = np.zeros(len(lam), dtype=int)
@@ -101,14 +95,14 @@ def _adinv_coeffs(lam):
 def ad_inverse(P, M):
     """Preimage of the image component: [L, ad_inverse(L, M)] = M^L."""
     M = linalg.check_skew(M, "ad_inverse: second argument")
-    U = _eig_rep(P)
+    U = flagorbit.orbit_eig(P)[1]
     return U @ (_adinv_coeffs(P.lam) * (U.conj().T @ M @ U)) @ U.conj().T
 
 
 def image_component(P, M):
     """M^L: the component of M in the image of ad_L."""
     M = linalg.check_skew(M)
-    U = _eig_rep(P)
+    U = flagorbit.orbit_eig(P)[1]
     return U @ np.where(_offcluster_mask(P.lam), U.conj().T @ M @ U, 0.0) @ U.conj().T
 
 
@@ -141,7 +135,7 @@ def _kahler_points(L0, N, times):
     """Exact Kahler flow points at each time, as one OrbitPoint whose L is their
     stack, from one eigendecomposition of iN and of L0; and the number of QRs."""
     mu, W = linalg.herm_eig(1j * linalg.check_skew(N, "flow driver N"))
-    G, chunks = _kahler_rep(_eig_rep(L0), mu, W, times)
+    G, chunks = _kahler_rep(flagorbit.orbit_eig(L0)[1], mu, W, times)
     return flagorbit.orbit_from_rep(G, L0.lam, L0.K), chunks
 
 
@@ -159,7 +153,7 @@ def kahler_flow_projection(L0, N, t):
     N = linalg.check_skew(N, "flow driver N")
     mu, W = linalg.herm_eig(1j * N)
     nch = linalg.split_chunks(t, float(mu[0] - mu[-1]))
-    E, Q = linalg.exp_eig(mu, W, t / nch), _eig_rep(L0)
+    E, Q = linalg.exp_eig(mu, W, t / nch), flagorbit.orbit_eig(L0)[1]
     for _ in range(nch):
         Q = np.linalg.qr(E @ Q)[0]
     return _from_projections(L0.lam, L0.K, [Q[:, :k] for k in L0.K])
@@ -367,9 +361,7 @@ def induced_flow_twisted(h0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51
     integrated like induced_flow."""
     N = linalg.check_skew(N, "flow driver N")
     lam = np.asarray(lam, dtype=float)
-    n = len(lam)
-    from . import perms
-    d = perms.delta_matrix(n)
+    d = perms.delta_matrix(len(lam))
     Nd = d @ N @ d
     K = linalg.multiplicity_set(lam)
     C = _adinv_coeffs(lam)
@@ -378,8 +370,8 @@ def induced_flow_twisted(h0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51
     def f(h):
         return -(C * (h @ Nd @ h.conj().T)) @ h
 
-    def point(h):   # h = iota(g), so the untwisted representatives are g = delta h* delta
-        return flagorbit.orbit_from_rep(d @ h.conj().swapaxes(-1, -2) @ d, lam, K)
+    def point(h):   # h = iota(g), so the untwisted representatives are g = iota(h)
+        return flagorbit.orbit_from_rep(flagorbit._iota(h), lam, K)
 
     return _drift_controlled(f, h0, _polar_unitary, point, N, t1, t0, step, tol, samples)
 

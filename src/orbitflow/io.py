@@ -24,6 +24,14 @@ def as_int(value, what):
     return out
 
 
+def as_floats(text, what):
+    """A comma-separated list of floats, else LinalgError ("1,,2", "1,", "a")."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise LinalgError(f"{what} must be a comma-separated float list: {exc}")
+
+
 def matrix_to_json(A):
     A = np.asarray(A, dtype=complex)
     return {

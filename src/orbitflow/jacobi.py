@@ -25,10 +25,12 @@ def moser_data(lam, x):
     x = np.asarray(x, dtype=float)
     if len(lam) != len(x):
         raise LinalgError("moser_data: lam and x must have equal length")
+    if len(lam) < 2:
+        raise LinalgError(f"moser_data: need at least 2 eigenvalues, got {len(lam)}")
     if not linalg.is_strictly_decreasing(lam):
         raise DomainError("moser_data: lam must be strictly decreasing")
-    if np.any(x <= 0):
-        raise DomainError("moser_data: x must be strictly positive")
+    if not np.all((x > 0) & np.isfinite(x)):
+        raise DomainError("moser_data: x must be finite and strictly positive")
     return MoserData(lam, x / np.linalg.norm(x))
 
 
@@ -57,8 +59,7 @@ def jacobi_from_moser(d):
     L = g (i diag lam) g* is tridiagonal with positive off-diagonals.
     """
     lamr, a, b = _rescaled(d.lam)
-    u = flagorbit.canonical_tnn_rep(linalg.k_factor(vandermonde_matrix(d)))
-    g = flagorbit.twist_unitary(u)
+    g = flagorbit._iota(flagorbit.canonical_tnn_rep(linalg.k_factor(vandermonde_matrix(d))))
     Lr = g @ (1j * np.diag(lamr)) @ g.conj().T
     L = linalg.skew_part(a * Lr + b * 1j * np.eye(len(lamr)))
     verdict = positivity.is_jacobi_cone(-1j * L)
@@ -72,10 +73,7 @@ def moser_from_jacobi(P):
     components of a Jacobi matrix; inverse of jacobi_from_moser."""
     if not positivity.is_jacobi_cone(-1j * P.L).is_positive:
         raise DomainError("moser_from_jacobi: input is not in the positive Jacobi cone")
-    V = flagorbit.orbit_to_flag(P)
-    g = flagorbit.canonical_tnn_rep(V.rep)
-    h = flagorbit.twist_unitary(g)
-    x = np.real(h[:, 0])
+    x = flagorbit._iota(flagorbit.canonical_tnn_rep(flagorbit.orbit_eigenbasis(P)[0]))[:, 0]
     if np.any(x <= 0):
         raise DomainError("moser_from_jacobi: first eigenvector components are not all positive")
     return MoserData(P.lam.copy(), x / np.linalg.norm(x))

@@ -1,8 +1,9 @@
 """Dense complex linear algebra: minors, index-set combinatorics, the Iwasawa
-(QR) decomposition, the matrix exponential, and eigendecompositions.
+(QR) decomposition, exponentials of Hermitian matrices from their
+eigendecompositions, and eigendecompositions.
 
 Index sets are strictly increasing tuples of 1-based indices. Everything here
-is numpy, except mat_exp, which imports scipy on its first call.
+is numpy.
 
 Minor families (every minor of a matrix, or its left-justified ones) are built
 order by order by Laplace expansion against the order below, through cached
@@ -285,14 +286,6 @@ def exp_eig(mu, W, t):
     return (W * np.exp(ex - ex.max(axis=-1, keepdims=True))[..., None, :]) @ W.conj().T
 
 
-def mat_exp(L):
-    """General matrix exponential. scipy is imported here, on first use, so
-    that importing orbitflow loads only numpy."""
-    import scipy.linalg
-
-    return scipy.linalg.expm(square(L))
-
-
 def herm_eig(H, tol=1e-10):
     """Eigenvalues (decreasing) and orthonormal eigenvectors of a Hermitian matrix."""
     A = square(H)
@@ -372,13 +365,17 @@ def cluster_blocks(values, rtol=CLUSTER_RTOL):
     """Partition an ordered spectrum into blocks of near-equal values.
 
     Consecutive values closer than rtol times the spectral diameter share a
-    block. Returns a list of (start, stop) half-open 0-based ranges.
+    block. Returns a list of (start, stop) half-open 0-based ranges. A diameter
+    that is not finite (a value that is not, or a spread that overflows) raises.
     """
     v = np.asarray(values)
     n = len(v)
     if n == 0:
         return []
-    diam = float(np.abs(v[None, :] - v[:, None]).max())
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        diam = float(np.abs(v[None, :] - v[:, None]).max())
+    if not isfinite(diam):
+        raise LinalgError(f"spectral diameter is {diam}: the values and their spread must be finite")
     thresh = rtol * diam
     blocks = []
     start = 0

@@ -26,12 +26,10 @@ def toda_symes(P, t, max_exp=14.0):
     nch = linalg.split_chunks(t, diam, max_exp)
     dt = t / nch
     L = P.L.astype(complex)
-    eig = P.eig
-    for _ in range(nch):
-        w, U = eig or linalg.herm_eig(-1j * L)
+    for c in range(nch):
+        w, U = flagorbit.orbit_eig(P) if c == 0 else linalg.herm_eig(-1j * L)
         Q = linalg.exp_k_factor(w, U, dt)
         L = linalg.skew_part(Q.conj().T @ L @ Q)
-        eig = None
     return OrbitPoint(L, lam.copy(), tuple(P.K))
 
 

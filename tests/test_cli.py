@@ -1,6 +1,10 @@
 import io as sio
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,3 +408,35 @@ def test_flow_lambda_checked_against_orbit_json(tmp_path, capsys):
                                   "--t1", "1", "--samples", "3"])
     argv = ["flow", "--metric", "kahler", "--in", str(path), "--t1", "1", "--samples", "3"]
     assert run_cli(argv) == run_cli(argv[:3] + ["--lambda", "1,0,-1"] + argv[3:])
+
+
+@pytest.mark.parametrize("field", ["1,,0,-1", "1,0,-1,", ",1,0,-1"])
+def test_empty_list_field_exits_2(tmp_path, capsys, field):
+    eye = write_matrix(tmp_path, "eye.json", np.eye(3))
+    for argv, why in (
+            (["jacobi", "from-moser", "--lambda", field, "--x", "1,1,1,1"], "float list"),
+            (["jacobi", "from-moser", "--lambda", "1,0,-1,-2", "--x", field.replace("-", "")], "float list"),
+            (["ampli", "build-Z", "--lambda", field, "--x", "1,1,1,1", "--r", "2"], "float list"),
+            (["flow", "--metric", "kahler", "--lambda", field, "--in", eye, "--t1", "1"], "float list"),
+            (["positivity", "--kind", "plucker", "--K", field.replace("-1", "2"), "--in", eye], "integer")):
+        rc, out = run_cli(argv)
+        err = capsys.readouterr().err
+        assert rc == 2 and out == "" and err.startswith("error: ")
+        assert why in err and "''" in err, err
+
+
+@pytest.mark.parametrize("lam, x, cause", [
+    ("1", "1", "need at least 2 eigenvalues"),
+    ("1e308,0,-1e308", "1,1,1", "spectral diameter is inf"),
+    ("nan,0,-1", "1,1,1", "spectral diameter is nan"),
+    ("1,0,-1", "nan,1,1", "x must be finite and strictly positive"),
+])
+def test_moser_edge_cases_print_one_error_line(lam, x, cause):
+    """In a fresh interpreter, so that a RuntimeWarning on the way would show on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    for argv in (["jacobi", "from-moser"], ["ampli", "build-Z", "--r", "1"]):
+        res = subprocess.run([sys.executable, "-m", "orbitflow.cli", *argv, "--lambda", lam, "--x", x],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert res.returncode == 2 and res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and cause in lines[0], res.stderr

@@ -1,3 +1,5 @@
+import io as sio
+import sys
 from itertools import permutations
 
 import numpy as np
@@ -5,6 +7,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from orbitflow import flagorbit, linalg, perms, positivity
+from orbitflow import io as oio
+from orbitflow.cli import main
 from orbitflow.errors import DomainError, LinalgError
 
 
@@ -617,3 +621,112 @@ def test_orbit_point_refuses_malformed_lambda():
         with pytest.raises(LinalgError, match="lambda must be"):
             flagorbit.orbit_point(L, lam)
     assert flagorbit.orbit_point(L, [1, -1]).lam.tolist() == [1.0, -1.0]
+
+
+# ------------------------------------- one orbit -> flag -> twist chain
+
+def chart_orbit_points(rng, n):
+    """Orbit points with strictly decreasing lam whose eigenflags are totally
+    positive, built by orbit_point (so they carry the eigendecomposition)."""
+    lam = np.sort(rng.normal(size=n))[::-1]
+    out = []
+    for _ in range(3):
+        P = flagorbit.flag_to_orbit(interior_flag(n, rng), lam)
+        out.append(flagorbit.orbit_point(P.L, P.lam))
+    return out
+
+
+def old_twist_orbit(P):
+    """twist_orbit as it was: canonical_tnn_rep of the eigenflag's representative,
+    itself canonical, then delta g^T delta in complex."""
+    g = flagorbit.canonical_tnn_rep(flagorbit.orbit_to_flag(P).rep)
+    d = perms.delta_matrix(P.L.shape[0])
+    return flagorbit.orbit_from_rep((d @ np.real(g).T @ d).astype(complex), P.lam, P.K)
+
+
+def record_callers(monkeypatch, module, name):
+    """Wrap module.name; the list gets the name of each call's calling function."""
+    callers = []
+    real = getattr(module, name)
+
+    def wrapped(*args, **kw):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kw)
+    monkeypatch.setattr(module, name, wrapped)
+    return callers
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+def test_canonical_rep_is_float64_and_twist_flag_is_the_two_step_chain(n):
+    rng = np.random.default_rng(70 + n)
+    d = perms.delta_matrix(n)
+    for _ in range(3):
+        g = positivity.sample_tnn_flag(n, rng)
+        for rep in (g, g * np.exp(1j * rng.uniform(0, 6, n)), linalg.k_factor(positivity.sample_tp(n, rng))):
+            h = flagorbit.canonical_tnn_rep(rep)
+            assert h.dtype == np.float64
+            V = flagorbit.PartialFlag(n, flagorbit.complete_K(n), rep)
+            ref = flagorbit.canonical_tnn_rep(d @ flagorbit.canonical_tnn_rep(rep).T @ d)
+            assert flagorbit.twist_flag(V).rep.tobytes() == ref.tobytes()
+
+
+def test_twist_unitary_takes_svd_only_off_the_unitary_branch(monkeypatch):
+    rng = np.random.default_rng(71)
+    U = linalg.k_factor(rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+    A = rng.normal(size=(5, 5))
+    d = perms.delta_matrix(5)
+    calls = record_callers(monkeypatch, np.linalg, "svd")
+    assert flagorbit.twist_unitary(U).tobytes() == (d @ U.conj().T @ d).tobytes()
+    assert calls == []
+    assert np.abs(flagorbit.twist_unitary(A) - d @ np.linalg.inv(A) @ d).max() < 1e-12
+    assert calls == ["twist_unitary"]
+    with pytest.raises(LinalgError, match="singular"):
+        flagorbit.twist_unitary(np.ones((3, 3)))
+
+
+def test_twist_orbit_canonicalizes_once_within_1e14_of_the_old_chain(monkeypatch):
+    rng = np.random.default_rng(72)
+    points = [P for n in (3, 5, 8) for P in chart_orbit_points(rng, n)]
+    refs = [old_twist_orbit(P) for P in points]
+    calls = record_callers(monkeypatch, flagorbit, "canonical_tnn_rep")
+    for P, ref in zip(points, refs):
+        del calls[:]
+        got = flagorbit.twist_orbit(P)
+        assert calls == ["twist_orbit"]
+        assert got.K == ref.K and got.lam.tobytes() == ref.lam.tobytes()
+        assert np.abs(got.L - ref.L).max() <= 1e-14
+    c = 1 / np.sqrt(2)   # the first eigenvector (c, -c, 0) has chart sum S_1 = 0
+    g = np.array([[c, c, 0], [-c, c, 0], [0, 0, 1]])
+    outside = flagorbit.orbit_point(flagorbit.orbit_from_rep(g, [1.0, 0.0, -1.0], (1, 2)).L)
+    with pytest.raises(DomainError):
+        old_twist_orbit(outside)
+    with pytest.raises(DomainError, match="outside the totally nonnegative chart"):
+        flagorbit.twist_orbit(outside)
+
+
+def test_cli_positivity_on_an_orbit_canonicalizes_once(tmp_path, monkeypatch):
+    rng = np.random.default_rng(73)
+    path = tmp_path / "orbit.json"
+    path.write_text(oio.dumps(oio.orbit_to_json(chart_orbit_points(rng, 4)[0])))
+    calls = record_callers(monkeypatch, flagorbit, "canonical_tnn_rep")
+    for kind in ("unitary", "plucker"):
+        del calls[:]
+        assert main(["positivity", "--kind", kind, "--K", "1,2", "--in", str(path)], out=sio.StringIO()) == 0
+        assert calls == ["cmd_positivity"]
+
+
+def test_orbit_to_flag_reuses_the_cached_eigendecomposition(monkeypatch):
+    rng = np.random.default_rng(74)
+    lam = np.array([2.0, 2.0, 0.5, -1.0, -1.0, -1.0])
+    V = flagorbit.flag_from_matrix(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),
+                                   K=linalg.multiplicity_set(lam))
+    P = flagorbit.orbit_point(flagorbit.flag_to_orbit(V, lam).L, lam)
+    bare = flagorbit.OrbitPoint(P.L, P.lam, P.K)
+    ref = flagorbit.orbit_to_flag(bare)
+    w, U = (a.tobytes() for a in P.eig)
+    calls = record_callers(monkeypatch, linalg, "herm_eig")
+    W = flagorbit.orbit_to_flag(P)
+    assert calls == []
+    assert P.eig[0].tobytes() == w and P.eig[1].tobytes() == U
+    assert W.K == ref.K == (2, 3) and W.rep.tobytes() == ref.rep.tobytes()
+    assert flagorbit.flag_distance(W, V) < 1e-10

@@ -1,9 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from orbitflow import flagorbit, jacobi, linalg, positivity
-from orbitflow.errors import DomainError
+from orbitflow.errors import DomainError, LinalgError
 
 
 def closed_form_jacobi(x):
@@ -25,6 +27,13 @@ def test_moser_data_validation():
         jacobi.moser_data([1.0, 1.0, 0.0], [1, 1, 1])
     with pytest.raises(DomainError):
         jacobi.moser_data([1.0, 0.0, -1.0], [1, -1, 1])
+    for x in ([np.nan, 1, 1], [np.inf, 1, 1]):
+        with pytest.raises(DomainError, match="x must be finite"):
+            jacobi.moser_data([1.0, 0.0, -1.0], x)
+    with pytest.raises(LinalgError, match="at least 2 eigenvalues"):
+        jacobi.moser_data([1.0], [1.0])
+    with pytest.raises(LinalgError, match="spectral diameter is inf"):
+        jacobi.moser_data([1e308, 0.0, -1e308], [1, 1, 1])
 
 
 def test_vandermonde_flag_matrix():
@@ -181,3 +190,46 @@ def test_torus_conjugation_stays_in_cone():
     h = np.diag([0.5, 1.7, 0.9])
     conj = h @ J @ np.linalg.inv(h)
     assert positivity.is_jacobi_cone(conj).status == "positive"
+
+
+def old_moser_x(P):
+    """moser_from_jacobi's x as it was: the eigenflag's representative, itself
+    canonical, canonicalized again and twisted by twist_unitary."""
+    g = flagorbit.canonical_tnn_rep(flagorbit.orbit_to_flag(P).rep)
+    x = np.real(flagorbit.twist_unitary(g)[:, 0])
+    return x / np.linalg.norm(x)
+
+
+def moser_cases(rng):
+    return [jacobi.moser_data(np.sort(rng.normal(size=n))[::-1], rng.uniform(0.3, 1.0, n))
+            for n in (2, 3, 5, 8) for _ in range(3)]
+
+
+def record_callers(monkeypatch, module, name):
+    """Wrap module.name; the list gets the name of each call's calling function."""
+    callers = []
+    real = getattr(module, name)
+
+    def wrapped(*args, **kw):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(*args, **kw)
+    monkeypatch.setattr(module, name, wrapped)
+    return callers
+
+
+def test_moser_round_trip_canonicalizes_once_and_twists_without_svd(monkeypatch):
+    rng = np.random.default_rng(40)
+    points = [jacobi.jacobi_from_moser(d) for d in moser_cases(rng)]
+    refs = [old_moser_x(P) for P in points]
+    canon = record_callers(monkeypatch, flagorbit, "canonical_tnn_rep")
+    svd = record_callers(monkeypatch, np.linalg, "svd")
+    for P, ref in zip(points, refs):
+        del canon[:], svd[:]
+        back = jacobi.moser_from_jacobi(P)
+        assert canon == ["moser_from_jacobi"] and svd == []
+        assert back.lam.tobytes() == P.lam.tobytes() and np.abs(back.x - ref).max() <= 1e-14
+    for d in moser_cases(rng):
+        del canon[:], svd[:]
+        jacobi.jacobi_from_moser(d)
+        assert canon == ["jacobi_from_moser"]
+        assert svd == ["_qr"]   # k_factor's singularity check of the Vandermonde matrix, not the twist

@@ -182,21 +182,6 @@ def test_k_project_decomposition():
     assert np.abs(np.imag(np.diag(R))).max() < 1e-14
 
 
-def test_mat_exp_zero_and_diagonal():
-    assert_allclose(linalg.mat_exp(np.zeros((3, 3))), np.eye(3), atol=1e-14)
-    mu = np.array([0.3, -1.2, 2.0])
-    assert_allclose(linalg.mat_exp(np.diag(mu)), np.diag(np.exp(mu)), rtol=1e-12)
-
-
-def test_mat_exp_unitary_closed_form():
-    t = 0.77
-    X = 1j * t * np.array([[0.0, 1], [1, 0]])
-    E = linalg.mat_exp(X)
-    expected = np.array([[np.cos(t), 1j * np.sin(t)], [1j * np.sin(t), np.cos(t)]])
-    assert np.abs(E - expected).max() < 1e-12
-    assert linalg.unitary_defect(E) < 1e-12
-
-
 def test_herm_eig_diagonal_sorting():
     w, U = linalg.herm_eig(np.diag([3.0, 1.0, 2.0]))
     assert_allclose(w, [3, 2, 1], atol=1e-14)
