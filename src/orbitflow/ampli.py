@@ -80,17 +80,17 @@ def kernel_basis(zd):
     return Vh[r:, :].conj().T
 
 
-def kernel_invariant(zd, N, rtol=linalg.RANK_RTOL):
+def kernel_invariant(zd, N):
     """True when N maps ker(Z) into itself, so Z projects the flow coherently."""
     N = linalg.square(N)
     Kb = kernel_basis(zd)
     if Kb.shape[1] == 0:
         return True
     B = np.hstack([Kb, N @ Kb])
-    return linalg.rank_of(B, rtol) == zd.n - zd.k - zd.m
+    return linalg.rank_of(B) == zd.n - zd.k - zd.m
 
 
-def project_N(zd, N, tol=1e-8):
+def project_N(zd, N):
     """M = Z N Z^T, the projected driving matrix; needs orthonormal rows and
     an invariant kernel, and then Z exp(t iN) = exp(t iM) Z."""
     N = linalg.check_skew(N, "project_N: N")
@@ -133,7 +133,7 @@ def sample_amplituhedron(zd, count, rng):
     return out
 
 
-def in_conic_hull(y, vertices, tol=1e-9):
+def in_conic_hull(y, vertices):
     """Feasibility of y = sum_i c_i v_i with c >= 0 (projective membership for
     k = 1 points), decided by linear programming. scipy is imported here, on
     first use, so that importing orbitflow loads only numpy."""

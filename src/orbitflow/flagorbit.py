@@ -19,6 +19,7 @@ from . import linalg, perms, positivity
 from .errors import DomainError, LinalgError
 
 CHART_ATOL = 1e-10    # minor-sum threshold for the totally nonnegative chart
+UNITARY_REP_ATOL = 1e-10   # unitary defect up to which a matrix is its own unitary representative
 
 
 @dataclass(frozen=True)
@@ -56,14 +57,14 @@ def complete_K(n):
     return tuple(range(1, n))
 
 
-def flag_from_matrix(A, K=None, skew_tol=1e-10):
+def flag_from_matrix(A, K=None):
     """Flag spanned by the column prefixes of an invertible matrix."""
     A = linalg.square(A)
     n = A.shape[0]
     K = complete_K(n) if K is None else tuple(sorted(set(int(k) for k in K)))
     if not K or K[0] < 1 or K[-1] > n - 1:
         raise LinalgError(f"flag dimension set must be a nonempty subset of [1, {n - 1}]")
-    rep = A if linalg.unitary_defect(A) <= skew_tol else linalg.k_factor(A)
+    rep = A if linalg.unitary_defect(A) <= UNITARY_REP_ATOL else linalg.k_factor(A)
     return PartialFlag(n, K, rep)
 
 
@@ -75,7 +76,7 @@ def flag_distance(V, W):
     return max(float(np.abs(V.projection(k) - W.projection(k)).max()) for k in ks)
 
 
-def orbit_point(L, lam=None, tol=1e-8):
+def orbit_point(L, lam=None):
     """Validated orbit point; lam, a finite 1-d list of n floats, defaults to the
     spectrum of -iL. The point keeps the eigendecomposition of -iL."""
     A = linalg.square(L)
@@ -91,7 +92,7 @@ def orbit_point(L, lam=None, tol=1e-8):
             raise LinalgError(f"orbit_point: lambda must be a list of floats: {exc}")
         if lam.shape != w.shape or not np.all(np.isfinite(lam)):
             raise LinalgError(f"orbit_point: lambda must be a finite 1-d list of {len(w)} floats")
-        if np.abs(lam - w).max() > tol * max(1.0, np.abs(w).max()):
+        if np.abs(lam - w).max() > 1e-8 * max(1.0, np.abs(w).max()):
             raise LinalgError("orbit_point: cached spectrum does not match the matrix")
     return OrbitPoint(A, lam, linalg.multiplicity_set(lam), (w, U))
 
@@ -104,7 +105,7 @@ def orbit_from_rep(g, lam, K):
     return OrbitPoint(linalg.skew_part(L), np.array(lam, dtype=float), tuple(K))
 
 
-def canonical_tnn_rep(A, chart_atol=CHART_ATOL):
+def canonical_tnn_rep(A):
     """Canonical real orthogonal representative of a flag in the totally
     nonnegative chart, as a float64 matrix: every order-k sum of left-justified
     minors is positive.
@@ -113,21 +114,21 @@ def canonical_tnn_rep(A, chart_atol=CHART_ATOL):
     a residual imaginary part means the flag has no real representative.
     The chart sums S_k are computed once, on the unflipped real representative
     in float64 (its complex copy gives the same real parts, bit for bit), each
-    order's minors in one batch summed left to right; |S_k| <= chart_atol means
+    order's minors in one batch summed left to right; |S_k| <= CHART_ATOL means
     the flag is outside the chart, where the map is undefined. Column k's sign
     is sign(S_k) sign(S_(k-1)), S_0 = 1: negating a column negates each minor
     containing it exactly, so this is the column-by-column rule, bit for bit.
     """
     g = linalg.square(A)
     n = g.shape[0]
-    if linalg.unitary_defect(g) > 1e-10:
+    if linalg.unitary_defect(g) > UNITARY_REP_ATOL:
         g = linalg.k_factor(g)
     g = linalg.phase_normalize(g)
     if np.abs(g.imag).max() > 1e-8:
         raise DomainError("canonical_tnn_rep: flag admits no real orthogonal representative")
     gr = np.linalg.qr(g.real)[0]
     S = np.array([sum(v.tolist()) for v in linalg.left_minors(gr, n)])
-    if np.any(np.abs(S) <= chart_atol):
+    if np.any(np.abs(S) <= CHART_ATOL):
         raise DomainError("canonical_tnn_rep: flag lies outside the totally nonnegative chart")
     sign = np.sign(S)
     return gr * sign * np.append(1.0, sign[:-1])
@@ -265,10 +266,10 @@ def _iota(g):
 
 
 def twist_unitary(g):
-    """iota(g) = delta g^{-1} delta: _iota for a unitary g (defect <= 1e-10, so
-    never singular), else the inverse, after an SVD singularity check."""
+    """iota(g) = delta g^{-1} delta: _iota for a unitary g (defect <= UNITARY_REP_ATOL,
+    so never singular), else the inverse, after an SVD singularity check."""
     A = linalg.square(g)
-    if linalg.unitary_defect(A) <= 1e-10:
+    if linalg.unitary_defect(A) <= UNITARY_REP_ATOL:
         return _iota(A)
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] <= linalg.RANK_RTOL * sv[0]:

@@ -8,7 +8,6 @@ equation dL/dt = [L, [L, N]]; the induced flow lifts to the unitary group as
 dg/dt = ad_inv_L(N) g.
 """
 
-from dataclasses import dataclass
 from math import ceil
 
 import numpy as np
@@ -22,18 +21,6 @@ METRICS = ("kahler", "normal", "induced")
 STRICT = "strict"
 WEAK = "weak"
 NONE = "none"
-
-
-@dataclass(frozen=True)
-class FlowSpec:
-    """A gradient flow: its metric, driver N and spectrum lam. step (the first
-    step tried) and tol (the error bound) set the Dormand-Prince integrator of
-    the normal and induced metrics; the Kahler metric evaluates exactly."""
-    metric: str
-    N: np.ndarray
-    lam: np.ndarray
-    step: float = 1e-3
-    tol: float = 1e-8
 
 
 class Trajectory:
@@ -106,13 +93,13 @@ def image_component(P, M):
     return U @ np.where(_offcluster_mask(P.lam), U.conj().T @ M @ U, 0.0) @ U.conj().T
 
 
-def _kahler_rep(g, mu, W, times, max_exp=14.0):
+def _kahler_rep(g, mu, W, times):
     """The (samples, n, n) stack of k_factor(exp(t iN) g) over t in times, from the
     spectrum mu and eigenbasis W of iN, and its number of QRs. A time of nch chunks
     takes nch steps t / nch; round c factors the samples of over c chunks at once."""
     times = np.asarray(times, dtype=float)
     diam = float(mu[0] - mu[-1])
-    nch = np.array([linalg.split_chunks(t, diam, max_exp) for t in times.tolist()])
+    nch = np.array([linalg.split_chunks(t, diam) for t in times.tolist()])
     E = linalg.exp_eig(mu, W, (times / nch)[:, None])
     G = linalg.k_factor(E @ g)
     for c in range(1, nch.max()):
@@ -121,14 +108,14 @@ def _kahler_rep(g, mu, W, times, max_exp=14.0):
     return G, int(nch.sum())
 
 
-def kahler_rep_flow(g0, N, t, max_exp=14.0):
+def kahler_rep_flow(g0, N, t):
     """Unitary representative k_factor(exp(t iN) g0), evaluated in chunks.
 
     Chunking (semigroup property of the flag flow) plus per-chunk rescaling
     keeps the QR numerically meaningful for large |t| * spectral diameter.
     """
     mu, W = linalg.herm_eig(1j * linalg.check_skew(N, "flow driver N"))
-    return _kahler_rep(linalg.as_matrix(g0), mu, W, (t,), max_exp)[0][0]
+    return _kahler_rep(linalg.as_matrix(g0), mu, W, (t,))[0][0]
 
 
 def _kahler_points(L0, N, times):
@@ -199,22 +186,6 @@ def kahler_trajectory(L0, N, t1, t0=0.0, samples=51):
     times = _sample_grid(t0, t1, samples)
     P, chunks = _kahler_points(L0, N, times)
     return Trajectory(times, P, _diagnose_all(P.L, L0.lam, N), chunks=chunks)
-
-
-def run(spec, L0, t1, t0=0.0, samples=51):
-    """Trajectory of the gradient flow described by a FlowSpec from an orbit
-    point; the Kahler metric evaluates exactly, the others integrate with
-    Dormand-Prince 5(4) (see _integrate)."""
-    if spec.metric == "kahler":
-        return kahler_trajectory(L0, spec.N, t1, t0=t0, samples=samples)
-    if spec.metric == "normal":
-        return normal_flow(L0, spec.N, t1, t0=t0, step=spec.step, tol=spec.tol,
-                           samples=samples)
-    if spec.metric == "induced":
-        g0 = flagorbit.orbit_to_flag(L0).rep
-        return induced_flow(g0, spec.N, spec.lam, t1, t0=t0, step=spec.step,
-                            tol=spec.tol, samples=samples)
-    raise LinalgError(f"unknown metric {spec.metric!r}")
 
 
 # Dormand-Prince 5(4) (Dormand & Prince 1980; Hairer, Norsett & Wanner, Solving
@@ -376,19 +347,6 @@ def induced_flow_twisted(h0, N, lam, t1, t0=0.0, step=1e-3, tol=1e-8, samples=51
     return _drift_controlled(f, h0, _polar_unitary, point, N, t1, t0, step, tol, samples)
 
 
-def _graph_connected(adj):
-    n = adj.shape[0]
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(n):
-            if adj[i, j] and j not in seen:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == n
-
-
 def classify_kahler(N, lam, tol=1e-9):
     """Positivity-preservation class of the Kahler gradient flow: strict,
     weak, or none.
@@ -402,53 +360,31 @@ def classify_kahler(N, lam, tol=1e-9):
     A = linalg.square(N)
     lam = np.asarray(lam, dtype=float)
     n = A.shape[0]
-    scale = max(1.0, float(np.abs(A).max()))
+    a = tol * max(1.0, float(np.abs(A).max()))
     M = 1j * A
-    if np.abs(M.imag).max() > tol * scale or np.abs(M - M.T.conj()).max() > tol * scale:
+    if np.abs(M.imag).max() > a or np.abs(M - M.T.conj()).max() > a:
         return NONE
     M = M.real
     K = linalg.multiplicity_set(lam)
     if len(K) == 0:
         return WEAK          # point orbit: constant flow
-    offdiag = M - np.diag(np.diag(M))
-
-    def connected():
-        adj = np.abs(offdiag) > tol * scale
-        return _graph_connected(adj)
-
+    i, j = np.indices((n, n))
+    dist, sup, off = np.abs(i - j), np.diag(M, 1), M - np.diag(np.diag(M))
     if len(K) >= 2:
-        for i in range(n):
-            for j in range(n):
-                if abs(i - j) >= 2 and abs(M[i, j]) > tol * scale:
-                    return NONE
-        sup = np.array([M[i, i + 1] for i in range(n - 1)])
-        if np.any(sup < -tol * scale):
+        if np.any((np.abs(M) > a) & (dist >= 2)) or np.any(sup < -a):
             return NONE
-        if np.all(sup > tol * scale):
-            return STRICT
-        return WEAK
-
+        return STRICT if np.all(sup > a) else WEAK
     k = K[0]
     if k == 1 or k == n - 1:
-        sgn = np.ones((n, n)) if k == 1 else np.fromfunction(
-            lambda i, j: (-1.0) ** (i + j + 1), (n, n))
-        vals = sgn * offdiag
-        if np.any(vals < -tol * scale):
+        if np.any((1.0 if k == 1 else -(-1.0) ** (i + j)) * off < -a):
             return NONE
-        return STRICT if connected() else WEAK
-    # 2 <= k <= n-2: cyclic band
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            diff = (i - j) % n
-            if diff not in (1, n - 1) and abs(M[i, j]) > tol * scale:
-                return NONE
-    band = [M[i, i + 1] for i in range(n - 1)]
-    corner = (-1.0) ** (k - 1) * M[n - 1, 0]
-    if any(b < -tol * scale for b in band) or corner < -tol * scale:
+    elif (np.any((np.abs(M) > a) & (dist >= 2) & (dist <= n - 2))   # 2 <= k <= n-2: cyclic band
+          or np.any(sup < -a) or (-1.0) ** (k - 1) * M[n - 1, 0] < -a):
         return NONE
-    return STRICT if connected() else WEAK
+    reach = np.arange(n) == 0   # the support graph's vertices reached from the first
+    for _ in range(n):
+        reach = reach | (reach @ (np.abs(off) > a))
+    return STRICT if reach.all() else WEAK
 
 
 def _kahler_rep_derivative(g0, N):
@@ -510,13 +446,13 @@ def normal_audit_configs_n3():
     return confs
 
 
-def induced_audit_n3(lam, N, tol=1e-9, grid=400):
+def induced_audit_n3(lam, N, tol=1e-9):
     """First-order boundary audit of the induced-metric flow at n = 3.
 
     Evaluates the closed-form edge inequalities, the face inequality family
-    over a grid in the two cell angles, and the eigenvalue-spacing interval
-    criterion max(c/d, d/c) <= 2 + 2 sqrt(2). Admissibility of the inequality
-    family is necessary for positivity preservation, not sufficient.
+    over a 400 x 400 grid in the two cell angles, and the eigenvalue-spacing
+    interval criterion max(c/d, d/c) <= 2 + 2 sqrt(2). Admissibility of the
+    inequality family is necessary for positivity preservation, not sufficient.
     """
     linalg.check_tol(tol)
     lam = np.asarray(lam, dtype=float)
@@ -548,19 +484,17 @@ def induced_audit_n3(lam, N, tol=1e-9, grid=400):
     report["edges"] = [float(e) for e in edges]
 
     eps = 1e-4
-    al = np.linspace(eps, np.pi / 2 - eps, grid)
-    be = np.linspace(eps, np.pi / 2 - eps, grid)
-    Al, Be = np.meshgrid(al, be, indexing="ij")
+    al = np.linspace(eps, np.pi / 2 - eps, 400)
+    Al, Be = np.meshgrid(al, al, indexing="ij")
 
-    def face_min(cc, dd, pp, qq, uu, vv):
+    def face_min(cc, dd, qq, uu, vv):
         F = (cc * qq * np.sin(2 * Al) * np.cos(Be)
              + cc * uu * (1 - np.cos(2 * Al))
              + cc * vv * np.sin(2 * Al) * np.cos(2 * Be) / np.sin(Be)
              + 2 * dd * uu)
         return float(F.min())
 
-    images = [(c, d, p, q, u, v), (d, c, -p, -q, u, v),
-              (c, d, q, p, v, u), (d, c, -q, -p, v, u)]
+    images = [(c, d, q, u, v), (d, c, -q, u, v), (c, d, p, v, u), (d, c, -p, v, u)]
     report["faces"] = [face_min(*img) for img in images]
 
     atol = 1e-7 * max(1.0, c + d) * max(1.0, abs(p), abs(q), u, v)

@@ -29,6 +29,10 @@ def moser_data(lam, x):
         raise LinalgError(f"moser_data: need at least 2 eigenvalues, got {len(lam)}")
     if not linalg.is_strictly_decreasing(lam):
         raise DomainError("moser_data: lam must be strictly decreasing")
+    with np.errstate(over="ignore"):   # _rescaled centres lam on (lam_1 + lam_n) / 2
+        sum_ends = lam[0] + lam[-1]
+    if not np.isfinite(sum_ends):
+        raise LinalgError(f"moser_data: lam_1 + lam_n = {lam[0]:.6g} + {lam[-1]:.6g} overflows")
     if not np.all((x > 0) & np.isfinite(x)):
         raise DomainError("moser_data: x must be finite and strictly positive")
     return MoserData(lam, x / np.linalg.norm(x))

@@ -29,6 +29,7 @@ from .errors import LinalgError
 
 RANK_RTOL = 1e-9      # singularity threshold, relative to the largest singular value
 CLUSTER_RTOL = 1e-8   # eigenvalue cluster rule, relative to the spectral diameter
+MAX_EXP = 14.0        # largest |dt| * spectral diameter of one closed-form chunk (exp range e^14)
 MAX_CHUNKS = 10 ** 5  # closed-form chunks (one QR each) per time; tests, demos and benchmark need <= 30
 
 
@@ -286,17 +287,17 @@ def exp_eig(mu, W, t):
     return (W * np.exp(ex - ex.max(axis=-1, keepdims=True))[..., None, :]) @ W.conj().T
 
 
-def herm_eig(H, tol=1e-10):
+def herm_eig(H):
     """Eigenvalues (decreasing) and orthonormal eigenvectors of a Hermitian matrix."""
     A = square(H)
     scale = max(1.0, float(np.abs(A).max()))
-    if np.abs(A - A.conj().T).max() > tol * scale:
+    if np.abs(A - A.conj().T).max() > 1e-10 * scale:
         raise LinalgError("herm_eig: input is not Hermitian within tolerance")
     w, U = np.linalg.eigh((A + A.conj().T) / 2)
     return w[::-1].copy(), U[:, ::-1].copy()
 
 
-def general_eig(g, rtol=RANK_RTOL):
+def general_eig(g):
     """Eigendecomposition sorted by decreasing modulus, then real, then imaginary part.
 
     Columns of V are unit eigenvectors with the largest-modulus entry made
@@ -309,7 +310,7 @@ def general_eig(g, rtol=RANK_RTOL):
     V = V[:, order]
     V = phase_normalize(V / np.array([np.linalg.norm(col) for col in V.T]))
     sv = np.linalg.svd(V, compute_uv=False)
-    if sv[-1] <= rtol * sv[0]:
+    if sv[-1] <= RANK_RTOL * sv[0]:
         raise LinalgError("general_eig: matrix is defective beyond tolerance")
     return w, V
 
@@ -330,12 +331,12 @@ def phase_normalize(M):
     return np.asarray(M) / unit_phases(M)
 
 
-def rank_of(A, rtol=RANK_RTOL):
+def rank_of(A):
     A = as_matrix(A)
     sv = np.linalg.svd(A, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.sum(sv > rtol * sv[0]))
+    return int(np.sum(sv > RANK_RTOL * sv[0]))
 
 
 def unitary_defect(g):
@@ -361,10 +362,10 @@ def check_skew(M, what="matrix"):
     return A
 
 
-def cluster_blocks(values, rtol=CLUSTER_RTOL):
+def cluster_blocks(values):
     """Partition an ordered spectrum into blocks of near-equal values.
 
-    Consecutive values closer than rtol times the spectral diameter share a
+    Consecutive values closer than CLUSTER_RTOL times the spectral diameter share a
     block. Returns a list of (start, stop) half-open 0-based ranges. A diameter
     that is not finite (a value that is not, or a spread that overflows) raises.
     """
@@ -376,7 +377,7 @@ def cluster_blocks(values, rtol=CLUSTER_RTOL):
         diam = float(np.abs(v[None, :] - v[:, None]).max())
     if not isfinite(diam):
         raise LinalgError(f"spectral diameter is {diam}: the values and their spread must be finite")
-    thresh = rtol * diam
+    thresh = CLUSTER_RTOL * diam
     blocks = []
     start = 0
     for i in range(n - 1):
@@ -387,19 +388,19 @@ def cluster_blocks(values, rtol=CLUSTER_RTOL):
     return blocks
 
 
-def multiplicity_set(lam, rtol=CLUSTER_RTOL):
+def multiplicity_set(lam):
     """K = { k : lam_k > lam_{k+1} } under the clustering rule, 1-based."""
-    blocks = cluster_blocks(lam, rtol)
+    blocks = cluster_blocks(lam)
     return tuple(stop for _, stop in blocks[:-1])
 
 
-def is_strictly_decreasing(lam, rtol=CLUSTER_RTOL):
+def is_strictly_decreasing(lam):
     lam = np.asarray(lam, dtype=float)
-    return multiplicity_set(lam, rtol) == tuple(range(1, len(lam)))
+    return multiplicity_set(lam) == tuple(range(1, len(lam)))
 
 
-def split_chunks(t, diameter, max_exp=14.0):
-    """Number of equal chunks so one chunk keeps |dt| * diameter <= max_exp.
+def split_chunks(t, diameter):
+    """Number of equal chunks so one chunk keeps |dt| * diameter <= MAX_EXP.
 
     Closed-form flows through exp() lose relative accuracy like
     eps * exp(dt * diameter); chunking with re-orthonormalization keeps each
@@ -410,7 +411,7 @@ def split_chunks(t, diameter, max_exp=14.0):
         raise LinalgError(f"time must be finite, got {t}")
     if t == 0.0 or diameter <= 0.0:
         return 1
-    chunks = abs(t) * diameter / max_exp
+    chunks = abs(t) * diameter / MAX_EXP
     if chunks > MAX_CHUNKS:
         raise LinalgError(f"time {t:.6g} needs {chunks:.3g} chunks at spectral diameter {diameter:.6g}, "
                           f"more than {MAX_CHUNKS}")

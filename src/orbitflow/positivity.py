@@ -62,7 +62,7 @@ def _verdict(batches, tol, value, note=None, nonreal_note=None, allow_positive=T
     orders that did not overflow."""
     worst, worst_w = np.inf, None
 
-    def witness(vals, rows, cols, i):
+    def witness(rows, cols, i):
         a, b = divmod(i, len(cols))
         return rows[a], cols[b], value(rows[a], cols[b])
 
@@ -73,11 +73,11 @@ def _verdict(batches, tol, value, note=None, nonreal_note=None, allow_positive=T
                 raise LinalgError(f"order-{len(rows[0])} minors overflow; rescale the input")
             nonreal = np.abs(vals.imag) > tol * scale
             if nonreal.any():
-                I, J, z = witness(vals, rows, cols, int(np.argmax(nonreal)))
+                I, J, z = witness(rows, cols, int(np.argmax(nonreal)))
                 return Verdict(OUTSIDE, Witness(I, J, float(z.imag)), tol, note=nonreal_note)
             i = int(np.argmin(rel))
             if rel.flat[i] < worst:
-                worst, worst_w = rel.flat[i], (vals, rows, cols, i)
+                worst, worst_w = rel.flat[i], (rows, cols, i)
     if allow_positive and worst > tol:
         return Verdict(POSITIVE, None, tol, note=note)
     I, J, z = witness(*worst_w)
@@ -258,21 +258,22 @@ def sample_tp_cert_tol(n):
     return _CERT_TOL.get(n, 1e-13)
 
 
-def sample_tp(n, rng, retries=12):
+def sample_tp(n, rng):
     """Random totally positive matrix: a full product of elementary bidiagonal
     factors (I + t E_{i,i+1}), (I + s E_{i+1,i}) with log-uniform parameters
-    and a positive diagonal, certified before return.
+    and a positive diagonal, certified before return; a failure draws fresh
+    parameters, up to 12 draws.
 
-    n <= 6: certified by is_tp_matrix at sample_tp_cert_tol(n); failures draw
-    fresh parameters. n in {7, 8}: the matrix-level scaled minors fall below
-    double precision, so the unitary factor is certified totally positive
-    instead. n > 8: returned uncertified (exhaustive enumeration is capped).
+    n <= 6: certified by is_tp_matrix at sample_tp_cert_tol(n). n in {7, 8}:
+    the matrix-level scaled minors fall below double precision, so the
+    unitary factor is certified totally positive instead. n > 8: returned
+    uncertified (exhaustive enumeration is capped).
     """
     if n < 1:
         raise LinalgError("sample_tp: n must be >= 1")
     lo, hi = _PARAM_RANGE.get(n, (0.95, 1.05))
     lo, hi = np.log(lo), np.log(hi)
-    for _ in range(retries):
+    for _ in range(12):
         lower = np.eye(n)
         for i in _elementary_word(n):
             F = np.eye(n)
@@ -296,13 +297,13 @@ def sample_tp(n, rng, retries=12):
     raise CertificationError("sample_tp: certification failed after retries")
 
 
-def sample_tnn_flag(n, rng, w=None, boundary=False, retries=16, tol=1e-9):
+def sample_tnn_flag(n, rng, w=None, boundary=False, tol=1e-9):
     """Unitary totally nonnegative flag representative.
 
     Default: interior point k_factor(sample_tp(n)), certified positive.
     w given: the signed permutation matrix for w (a boundary point).
     boundary=True: k_factor of (partial positive factors) x (random signed
-    permutation), certified nonnegative.
+    permutation), certified nonnegative, up to 16 draws.
     """
     if n < 1:
         raise LinalgError("sample_tnn_flag: n must be >= 1")
@@ -317,7 +318,7 @@ def sample_tnn_flag(n, rng, w=None, boundary=False, retries=16, tol=1e-9):
             raise CertificationError("sample_tnn_flag: interior sample not certified positive")
         return g
     word = _elementary_word(n)
-    for _ in range(retries):
+    for _ in range(16):
         wperm = perms.random_perm(n, rng)
         A = np.eye(n)
         for i in word:

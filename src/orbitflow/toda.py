@@ -12,7 +12,7 @@ from .errors import DomainError
 from .flagorbit import OrbitPoint
 
 
-def toda_symes(P, t, max_exp=14.0):
+def toda_symes(P, t):
     """Closed-form Toda solution L(t) = Q(t)^{-1} L0 Q(t), Q = k_factor(exp(-t iL0)).
 
     Long times are evaluated by composing shorter chunks (the flow property),
@@ -23,7 +23,7 @@ def toda_symes(P, t, max_exp=14.0):
     """
     lam = P.lam
     diam = float(lam[0] - lam[-1])
-    nch = linalg.split_chunks(t, diam, max_exp)
+    nch = linalg.split_chunks(t, diam)
     dt = t / nch
     L = P.L.astype(complex)
     for c in range(nch):

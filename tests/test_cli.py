@@ -430,6 +430,7 @@ def test_empty_list_field_exits_2(tmp_path, capsys, field):
     ("1e308,0,-1e308", "1,1,1", "spectral diameter is inf"),
     ("nan,0,-1", "1,1,1", "spectral diameter is nan"),
     ("1,0,-1", "nan,1,1", "x must be finite and strictly positive"),
+    ("1.5e308,1e308", "1,1", "lam_1 + lam_n = 1.5e+308 + 1e+308 overflows"),
 ])
 def test_moser_edge_cases_print_one_error_line(lam, x, cause):
     """In a fresh interpreter, so that a RuntimeWarning on the way would show on stderr."""

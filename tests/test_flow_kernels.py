@@ -380,8 +380,8 @@ def k_factor_one(g):
     return Q * (d / np.abs(d))[None, :]
 
 
-def kahler_rep_loop(g, mu, W, t, max_exp=14.0):
-    nch = linalg.split_chunks(t, float(mu[0] - mu[-1]), max_exp)
+def kahler_rep_loop(g, mu, W, t):
+    nch = linalg.split_chunks(t, float(mu[0] - mu[-1]))
     dt = t / nch
     for _ in range(nch):
         ex = dt * mu

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -238,6 +240,91 @@ def test_classify_kahler_weak_vs_strict_tridiagonal():
     assert flows.classify_kahler(-1j * iN, lam) == "weak"
     iN[1, 2] = iN[2, 1] = 0.5
     assert flows.classify_kahler(-1j * iN, lam) == "strict"
+
+
+def graph_connected_loop(adj):
+    n = adj.shape[0]
+    seen = {0}
+    stack = [0]
+    while stack:
+        i = stack.pop()
+        for j in range(n):
+            if adj[i, j] and j not in seen:
+                seen.add(j)
+                stack.append(j)
+    return len(seen) == n
+
+
+def classify_kahler_loops(N, lam, tol=1e-9):
+    """classify_kahler as it was written with Python loops over the entries:
+    the reference its mask form is pinned against."""
+    A = linalg.square(N)
+    n = A.shape[0]
+    scale = max(1.0, float(np.abs(A).max()))
+    M = 1j * A
+    if np.abs(M.imag).max() > tol * scale or np.abs(M - M.T.conj()).max() > tol * scale:
+        return "none"
+    M = M.real
+    K = linalg.multiplicity_set(np.asarray(lam, dtype=float))
+    if len(K) == 0:
+        return "weak"
+    offdiag = M - np.diag(np.diag(M))
+
+    def connected():
+        return graph_connected_loop(np.abs(offdiag) > tol * scale)
+
+    if len(K) >= 2:
+        for i in range(n):
+            for j in range(n):
+                if abs(i - j) >= 2 and abs(M[i, j]) > tol * scale:
+                    return "none"
+        sup = np.array([M[i, i + 1] for i in range(n - 1)])
+        if np.any(sup < -tol * scale):
+            return "none"
+        if np.all(sup > tol * scale):
+            return "strict"
+        return "weak"
+    k = K[0]
+    if k == 1 or k == n - 1:
+        sgn = np.ones((n, n)) if k == 1 else np.fromfunction(
+            lambda i, j: (-1.0) ** (i + j + 1), (n, n))
+        if np.any(sgn * offdiag < -tol * scale):
+            return "none"
+        return "strict" if connected() else "weak"
+    for i in range(n):
+        for j in range(n):
+            if i != j and (i - j) % n not in (1, n - 1) and abs(M[i, j]) > tol * scale:
+                return "none"
+    band = [M[i, i + 1] for i in range(n - 1)]
+    corner = (-1.0) ** (k - 1) * M[n - 1, 0]
+    if any(b < -tol * scale for b in band) or corner < -tol * scale:
+        return "none"
+    return "strict" if connected() else "weak"
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_classify_kahler_matches_the_loops_on_every_sign_pattern(n):
+    """Every sign and zero pattern of the symmetric off-diagonal entries of iN
+    (so every tridiagonal and cyclic-band driver among them), with each zero
+    also as an entry just inside tol, and non-Hermitian and non-real drivers,
+    for a spectrum of each dimension set K (the empty one a point orbit)."""
+    rng = np.random.default_rng(31 + n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    spectra = [[-float(sum(k <= i for k in K)) for i in range(n)]
+               for r in range(n) for K in itertools.combinations(range(1, n), r)]
+    seen = set()
+    for signs in itertools.product((-1.0, 0.0, 1.0), repeat=len(pairs)):
+        for near_zero in (0.0, 0.4e-9):
+            M = np.diag(rng.normal(size=n))
+            for (i, j), s in zip(pairs, signs):
+                M[i, j] = M[j, i] = s * rng.uniform(0.5, 2.0) if s else near_zero * rng.choice((-1.0, 1.0))
+            for N in (-1j * M, -1j * (M + 1e-6 * np.eye(n, k=1)), -1j * M + 1e-6 * np.eye(n)):
+                for lam in spectra:
+                    verdict = flows.classify_kahler(N, lam)
+                    assert verdict == classify_kahler_loops(N, lam), (M, lam)
+                    seen.add((len(linalg.multiplicity_set(lam)), verdict))
+    assert {(1, v) for v in ("strict", "weak", "none")} <= seen
+    assert {(2, v) for v in ("strict", "weak", "none")} <= seen
 
 
 @pytest.mark.parametrize("tol", [0.0, -1.0, np.nan, np.inf])

@@ -350,7 +350,7 @@ def outside_chart(n):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_flag_data_match_per_minor_reference(n):
+def test_flag_data_match_per_minor_reference(n, monkeypatch):
     rng = np.random.default_rng(13 * n)
     inputs = [q_factor(tp_product(rng, n)), q_factor(tp_product(rng, n, drop=1)),
               q_factor(rng.normal(size=(n, n))), perms.signed_perm(perms.random_perm(n, rng)),
@@ -362,9 +362,12 @@ def test_flag_data_match_per_minor_reference(n):
         ref, sums = ref_canonical_tnn_rep(g)
         assert same_bits(flagorbit.canonical_tnn_rep(g), ref)
         least = min(sums)   # the raise decision sits exactly on the least sum's bits
-        with pytest.raises(DomainError):
-            flagorbit.canonical_tnn_rep(g, chart_atol=least)
-        assert same_bits(flagorbit.canonical_tnn_rep(g, chart_atol=np.nextafter(least, 0.0)), ref)
+        with monkeypatch.context() as m, pytest.raises(DomainError):
+            m.setattr(flagorbit, "CHART_ATOL", least)
+            flagorbit.canonical_tnn_rep(g)
+        with monkeypatch.context() as m:
+            m.setattr(flagorbit, "CHART_ATOL", np.nextafter(least, 0.0))
+            assert same_bits(flagorbit.canonical_tnn_rep(g), ref)
         flipped = np.any(ref != np.linalg.qr(phases_fixed(g).real)[0], axis=0)
         most_flips = max(most_flips, int(flipped.sum()))
     assert most_flips >= min(n - 1, 2)   # order sums of mixed signs: several columns flip

@@ -160,10 +160,10 @@ def mp_symes(L0, t):
     return np.array((Q.H * L * Q).tolist(), dtype=complex)
 
 
-def svd_checked_symes(P, t, max_exp=14.0):
+def svd_checked_symes(P, t):
     """toda_symes as it was: each chunk diagonalises iL and takes k_factor,
     whose SVD checks that exp(-dt iL) is not singular."""
-    nch = linalg.split_chunks(t, float(P.lam[0] - P.lam[-1]), max_exp)
+    nch = linalg.split_chunks(t, float(P.lam[0] - P.lam[-1]))
     L = P.L.astype(complex)
     for _ in range(nch):
         w, W = linalg.herm_eig(1j * L)
@@ -191,11 +191,12 @@ def test_symes_as_close_to_mpmath_as_the_svd_checked_form():
     assert np.exp(np.mean(np.log(new) - np.log(old))) <= 1.25
 
 
-def test_symes_refuses_a_singular_chunk_as_the_svd_did():
+def test_symes_refuses_a_singular_chunk_as_the_svd_did(monkeypatch):
     P = jacobi_start(seed=3)
     t = 30.0 / float(P.lam[0] - P.lam[-1])   # one chunk with dt * diam = 30: ratio exp(-30) < RANK_RTOL
+    monkeypatch.setattr(linalg, "MAX_EXP", 30.0)
     with pytest.raises(LinalgError, match="singular"):
-        svd_checked_symes(P, t, max_exp=30.0)
+        svd_checked_symes(P, t)
     with pytest.raises(LinalgError, match="singular"):
-        toda.toda_symes(P, t, max_exp=30.0)
-    toda.toda_symes(P, 0.5 * t, max_exp=30.0)   # exp(-15) is above it
+        toda.toda_symes(P, t)
+    toda.toda_symes(P, 0.5 * t)   # exp(-15) is above it
