@@ -44,7 +44,7 @@ def make_zdata(Z, k, tol=1e-9):
         raise LinalgError("make_zdata: Z must have full row rank")
     cols = linalg.index_sets(n, r)
     vals = linalg.left_minors(R.T, r)[-1]   # det R[:, J] is the left-justified minor of R^T on rows J
-    s = linalg.row_norm_scales(R, (tuple(range(1, r + 1)),), cols)[0]
+    s = linalg.row_norm_scales(R, linalg.index_sets(r, r), cols)[0]
     nonzero = np.abs(vals) > tol * s
     if not nonzero.any():
         raise LinalgError("make_zdata: all top-order minors vanish")

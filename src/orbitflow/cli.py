@@ -45,6 +45,16 @@ _NEEDS = {
 _DEST = {"--lambda": "lam", "--in": "infile"}
 
 
+_EXAMPLE = {"--lambda": "1,0,-1", "--x": "1,1,1", "--K": "1,2"}
+
+
+def _list_help(what, flag):
+    """Help of a comma-separated list option. argparse reads a value such as
+    -1,-2 after a space as an option, so a list that starts with '-' takes '='."""
+    return (f"{what}, comma-separated (e.g. {flag} {_EXAMPLE[flag]}); "
+            f"a list that starts with '-' needs '=', as {flag}=-1,-2")
+
+
 def _check_needs(args):
     for flag in _NEEDS[args.action]:
         if getattr(args, _DEST.get(flag, flag[2:])) is None:
@@ -308,7 +318,7 @@ def build_parser():
     q = sub.add_parser("positivity", help="matrix / flag / orbit positivity verdicts")
     q.add_argument("--kind", required=True, choices=["tp", "jacobi", "unitary", "plucker"])
     q.add_argument("--in", dest="infile", required=True)
-    q.add_argument("--K", default=None, help="comma-separated dimension set for plucker")
+    q.add_argument("--K", default=None, help=_list_help("dimension set for plucker", "--K"))
     q.set_defaults(func=cmd_positivity)
 
     q = sub.add_parser("twist", help="iota / theta / theta-lambda / rev / rho")
@@ -325,7 +335,7 @@ def build_parser():
     q = sub.add_parser("flow", help="gradient flow trajectory (CSV)")
     q.add_argument("--metric", required=True, choices=list(flows.METRICS))
     q.add_argument("--N", default=None, help="driving matrix JSON file")
-    q.add_argument("--lambda", dest="lam", default=None, help="comma-separated spectrum")
+    q.add_argument("--lambda", dest="lam", default=None, help=_list_help("spectrum", "--lambda"))
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--t0", type=float, default=0.0)
     q.add_argument("--t1", type=float, required=True)
@@ -347,15 +357,15 @@ def build_parser():
 
     q = sub.add_parser("jacobi", help="Moser / flag reconstructions")
     q.add_argument("action", choices=["from-moser", "to-moser", "from-12flag"])
-    q.add_argument("--lambda", dest="lam", default=None)
-    q.add_argument("--x", default=None)
+    q.add_argument("--lambda", dest="lam", default=None, help=_list_help("strictly decreasing spectrum", "--lambda"))
+    q.add_argument("--x", default=None, help=_list_help("positive Moser variables", "--x"))
     q.add_argument("--in", dest="infile", default=None)
     q.set_defaults(func=cmd_jacobi)
 
     q = sub.add_parser("ampli", help="amplituhedron operations")
     q.add_argument("action", choices=["build-Z", "zmap", "project-N", "sample"])
-    q.add_argument("--lambda", dest="lam", default=None)
-    q.add_argument("--x", default=None)
+    q.add_argument("--lambda", dest="lam", default=None, help=_list_help("strictly decreasing spectrum", "--lambda"))
+    q.add_argument("--x", default=None, help=_list_help("positive Moser variables", "--x"))
     q.add_argument("--r", type=int, default=None)
     q.add_argument("--k", type=int, default=None)
     q.add_argument("--Z", default=None)

@@ -35,7 +35,15 @@ def moser_data(lam, x):
         raise LinalgError(f"moser_data: lam_1 + lam_n = {lam[0]:.6g} + {lam[-1]:.6g} overflows")
     if not np.all((x > 0) & np.isfinite(x)):
         raise DomainError("moser_data: x must be finite and strictly positive")
-    return MoserData(lam, x / np.linalg.norm(x))
+    with np.errstate(over="ignore"):   # a sum of squares out of range is rescaled below
+        sumsq = x @ x
+    if not np.isfinite(sumsq) or sumsq < np.finfo(float).tiny:
+        x = x / x.max()   # its sum of squares lies in [1, n]
+    x = x / np.linalg.norm(x)
+    if not np.all(x > 0):
+        raise DomainError("moser_data: x spans too wide a range: its smallest entries vanish "
+                          "when x is normalized")
+    return MoserData(lam, x)
 
 
 def _rescaled(lam):
@@ -65,7 +73,12 @@ def jacobi_from_moser(d):
     lamr, a, b = _rescaled(d.lam)
     g = flagorbit._iota(flagorbit.canonical_tnn_rep(linalg.k_factor(vandermonde_matrix(d))))
     Lr = g @ (1j * np.diag(lamr)) @ g.conj().T
-    L = linalg.skew_part(a * Lr + b * 1j * np.eye(len(lamr)))
+    M = a * Lr + b * 1j * np.eye(len(lamr))
+    with np.errstate(over="ignore", invalid="ignore"):   # reported below
+        L = linalg.skew_part(M)
+    if not np.all(np.isfinite(L)):
+        raise LinalgError(f"jacobi_from_moser: Jacobi matrix entries reach {np.abs(M).max():.6g}, "
+                          "and twice that overflows; rescale lambda")
     verdict = positivity.is_jacobi_cone(-1j * L)
     if verdict.status != positivity.POSITIVE:
         raise CertificationError("jacobi_from_moser: result failed the Jacobi-cone certification")

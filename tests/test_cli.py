@@ -425,6 +425,13 @@ def test_empty_list_field_exits_2(tmp_path, capsys, field):
         assert why in err and "''" in err, err
 
 
+def fresh_cli(*argv):
+    """One CLI run in a fresh interpreter, so that a RuntimeWarning on the way shows on stderr."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "orbitflow.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("lam, x, cause", [
     ("1", "1", "need at least 2 eigenvalues"),
     ("1e308,0,-1e308", "1,1,1", "spectral diameter is inf"),
@@ -433,11 +440,51 @@ def test_empty_list_field_exits_2(tmp_path, capsys, field):
     ("1.5e308,1e308", "1,1", "lam_1 + lam_n = 1.5e+308 + 1e+308 overflows"),
 ])
 def test_moser_edge_cases_print_one_error_line(lam, x, cause):
-    """In a fresh interpreter, so that a RuntimeWarning on the way would show on stderr."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     for argv in (["jacobi", "from-moser"], ["ampli", "build-Z", "--r", "1"]):
-        res = subprocess.run([sys.executable, "-m", "orbitflow.cli", *argv, "--lambda", lam, "--x", x],
-                             env=env, capture_output=True, text=True, timeout=120)
+        res = fresh_cli(*argv, "--lambda", lam, "--x", x)
         assert res.returncode == 2 and res.stdout == ""
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and cause in lines[0], res.stderr
+
+
+def test_jacobi_that_overflows_prints_one_error_line():
+    """The spectrum passes moser_data, but the Jacobi matrix's entries near
+    1.7e308 overflow when its skew part doubles them: refused by name. The
+    Z build never forms that matrix, and a 2 x 2 one stays in range."""
+    res = fresh_cli("jacobi", "from-moser", "--lambda=1.7e308,1e308,0", "--x", "1,1,1")
+    assert res.returncode == 2 and res.stdout == ""
+    lines = res.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "entries reach 1.04795e+308" in lines[0], res.stderr
+    for argv in (["ampli", "build-Z", "--r", "1", "--lambda=1.7e308,1e308,0", "--x", "1,1,1"],
+                 ["jacobi", "from-moser", "--lambda=1.7e308,0", "--x", "1,1"]):
+        res = fresh_cli(*argv)
+        assert res.returncode == 0 and res.stderr == "" and res.stdout
+
+
+@pytest.mark.parametrize("x", ["1e308,1e308,1e308", "1e-200,1e-200,1e-200"])
+def test_moser_x_normalized_without_overflow_or_underflow(x):
+    """An x whose sum of squares overflows or underflows is divided by its
+    largest entry first: the same Moser data, bytes and all, as x = 1,1,1."""
+    for argv in (["jacobi", "from-moser", "--lambda", "1,0,-1"],
+                 ["ampli", "build-Z", "--lambda", "1,0,-1", "--r", "2", "--k", "1"]):
+        res, ref = fresh_cli(*argv, "--x", x), fresh_cli(*argv, "--x", "1,1,1")
+        assert res.returncode == ref.returncode == 0 and res.stderr == ref.stderr == ""
+        assert res.stdout == ref.stdout
+
+
+def test_moser_x_too_wide_to_normalize_exits_2():
+    rc, out = run_cli(["jacobi", "from-moser", "--lambda", "1,0,-1", "--x", "1e150,1e150,1e-320"])
+    assert rc == 2 and out == ""
+
+
+def test_help_documents_negative_lists(capsys):
+    """A comma list that starts with '-' must be joined by '=' (argparse reads
+    it as an option after a space); the help says so, and that form works."""
+    for argv in (["jacobi", "--help"], ["ampli", "--help"], ["flow", "--help"], ["positivity", "--help"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        text = " ".join(capsys.readouterr().out.split())
+        assert "comma-separated" in text and "needs '='" in text, text
+    assert "--lambda=-1,-2" in " ".join(fresh_cli("jacobi", "--help").stdout.split())
+    rc, out = run_cli(["jacobi", "from-moser", "--lambda=-1,-2", "--x", "1,1"])
+    assert rc == 0 and json.loads(out)["lambda"] == [-1.0, -2.0]

@@ -228,6 +228,62 @@ def test_minors_match_per_minor_reference_bit_for_bit(n, dtype):
             assert same_bits(linalg.left_minors(A + 0j, k)[-1], [linalg.left_minor(A, I) for I in sets])
 
 
+def plan_cache_sizes():
+    return [len(c) for c in (linalg._SETS, linalg._ROWS, linalg._PLANS)]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_rectangular_minors_match_per_minor_reference_bit_for_bit(n, dtype):
+    """n x m inputs, m < n, as make_zdata (R.T) and projection_minor_closed_form
+    pass them: contiguous, and the transposed view of an m x n matrix, whose
+    flat plans must index with the row stride m. A second call adds no plan."""
+    rng = np.random.default_rng(300 + n)
+    for m in sorted({1, n // 2, n - 1}):
+        W = rng.normal(size=(m, n)) * 3.0
+        if dtype is complex:
+            W = W + 1j * rng.normal(size=(m, n))
+        for A in (np.ascontiguousarray(W.T), W.T):
+            for attempt in range(2):
+                sizes = plan_cache_sizes()
+                memo = {}
+                left = linalg.left_minors(A, m)
+                assert len(left) == m
+                for k, vals in enumerate(left, 1):
+                    rows, cols = linalg.index_sets(n, k), linalg.index_sets(m, k)
+                    first = tuple(range(1, k + 1))
+                    assert vals.dtype == A.dtype
+                    assert same_bits(vals, [left_laplace(A, I, memo) for I in rows])
+                    assert same_bits(linalg.row_norm_scales(A, rows, cols),
+                                     [[row_norm_scale(sub(A, I, J)) for J in cols] for I in rows])
+                    for fam in (linalg.index_sets(k, k), (first,)):
+                        assert same_bits(linalg.row_norm_scales(A, rows, fam)[:, 0],
+                                         [row_norm_scale(sub(A, I, first)) for I in rows])
+                    # the wide m x n matrix, its rows against column sets as make_zdata takes them
+                    assert same_bits(linalg.row_norm_scales(W, cols, rows),
+                                     [[row_norm_scale(sub(W, I, J)) for J in rows] for I in cols])
+                if attempt:
+                    assert plan_cache_sizes() == sizes
+
+
+def test_second_call_adds_no_plan():
+    rng = np.random.default_rng(5)
+    for n in (1, 4, 8):
+        A = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        sets = [linalg.index_sets(n, k) for k in range(1, n + 1)]
+
+        def every_family():
+            tables = [t.copy() for t in linalg.minors(A)] + linalg.left_minors(A, n)
+            for k, S in enumerate(sets, 1):
+                tables += [linalg.row_norm_scales(A, S, S), linalg.row_norm_scales(A, S, linalg.index_sets(k, k))]
+            return tables
+
+        first = every_family()
+        sizes = plan_cache_sizes()
+        assert all(same_bits(a, b) for a, b in zip(first, every_family()))
+        assert plan_cache_sizes() == sizes
+
+
 @pytest.mark.parametrize("n", range(5, 9))
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_minors_match_mpmath_within_k_eps_scale(n, dtype):
