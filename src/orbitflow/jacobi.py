@@ -59,9 +59,18 @@ def vandermonde_matrix(d):
     return d.x[:, None] * np.vander(lamr, n, increasing=True)
 
 
+def _vandermonde_k(d):
+    """The unitary Iwasawa factor of the Vandermonde matrix, which must be
+    nonsingular (x may spread over so many orders of magnitude that it is not)."""
+    try:
+        return linalg.k_factor(vandermonde_matrix(d))
+    except LinalgError:
+        raise LinalgError("the Vandermonde matrix of lam and x is singular to working precision") from None
+
+
 def vandermonde_flag(d):
     """Complete flag of Krylov subspaces of diag(lam) applied to x."""
-    return flagorbit.flag_from_matrix(linalg.k_factor(vandermonde_matrix(d)))
+    return flagorbit.flag_from_matrix(_vandermonde_k(d))
 
 
 def jacobi_from_moser(d):
@@ -71,7 +80,7 @@ def jacobi_from_moser(d):
     L = g (i diag lam) g* is tridiagonal with positive off-diagonals.
     """
     lamr, a, b = _rescaled(d.lam)
-    g = flagorbit._iota(flagorbit.canonical_tnn_rep(linalg.k_factor(vandermonde_matrix(d))))
+    g = flagorbit._iota(flagorbit.canonical_tnn_rep(_vandermonde_k(d)))
     Lr = g @ (1j * np.diag(lamr)) @ g.conj().T
     M = a * Lr + b * 1j * np.eye(len(lamr))
     with np.errstate(over="ignore", invalid="ignore"):   # reported below

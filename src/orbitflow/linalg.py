@@ -13,6 +13,13 @@ the Laplace term first, keyed on the operand's shape (so its row stride: an
 n x r view such as R.T indexes right) and the order, or for row_norm_scales on
 a cached index_sets family, never on an uncached tuple, whose id can be
 reused. At n = 8 they hold 0.91 MB, 0.82 MB of it minors' (k, C, C) plans.
+The certificates' Hadamard scales come flat, every order of a family in one
+array in the order of its minors: minor_scales and left_scales take one pass
+of squared moduli, one gather and reduce for the row norms and one gather and
+product per row position, bit for bit row_norm_scales order by order (sums of
+fewer than PAIRWISE_TERMS terms in order, longer ones as numpy's contiguous
+reduce forms them, products left to right over the rows). Their plans add
+0.53 MB at n = 8, nearly all of it minor_scales'.
 Orders k <= 3 are the closed forms of _dets, bit for bit: _nested expands the
 operands that one take per row gathers through _closed_plan, for a stack of
 matrices and for left_minors alike. Above, each level rounds by O(k eps) times
@@ -38,6 +45,7 @@ RANK_RTOL = 1e-9      # singularity threshold, relative to the largest singular 
 CLUSTER_RTOL = 1e-8   # eigenvalue cluster rule, relative to the spectral diameter
 MAX_EXP = 14.0        # largest |dt| * spectral diameter of one closed-form chunk (exp range e^14)
 MAX_CHUNKS = 10 ** 5  # closed-form chunks (one QR each) per time; tests, demos and benchmark need <= 30
+PAIRWISE_TERMS = 8    # numpy adds fewer terms in order, and this many or more pairwise (a contiguous reduce)
 
 
 def check_tol(tol):
@@ -95,12 +103,11 @@ def _rows(sets):
 
 def _plan(key, build):
     """The index plan (an array, or a tuple of them) cached under key, built by
-    build() on first use."""
+    build() on first use. Plans stay writeable: np.take copies an index array
+    it may not write, 0.4 MB per call for minor_scales' factors at n = 8."""
     plan = _PLANS.get(key)
     if plan is None:
         plan = _PLANS[key] = build()
-        for p in plan if isinstance(plan, tuple) else (plan,):
-            p.flags.writeable = False
     return plan
 
 
@@ -259,6 +266,76 @@ def row_norm_scales(M, rows, cols):
     norms = np.sqrt(np.add.reduce((A.conj() * A).real.take(plan), axis=-1))
     s = np.multiply.reduce(norms.take(_rows(rows).T, axis=0), axis=0)   # left to right, from 1.0
     return np.where(s > 0.0, s, 1.0)
+
+
+def _product_plan(orders):
+    """The factors of a flat family's row-norm products, from one index array
+    per order k = 1, 2, ... whose [..., m] is the norm of an entry's m-th row:
+    factor m of every entry of order > m, m major, so that the entries factor
+    m reaches are a suffix of the family. With it, per m, the first entry it
+    reaches and where its factors start and stop."""
+    firsts = np.cumsum([0] + [o[..., 0].size for o in orders[:-1]])
+    reach = firsts[-1] + orders[-1][..., 0].size - firsts
+    stops = np.cumsum(reach)
+    factors = np.concatenate([o[..., m].ravel() for m in range(len(orders)) for o in orders[m:]])
+    return factors, np.stack([firsts, stops - reach, stops], axis=-1)
+
+
+def _scales(norms, factors, bounds):
+    """The row-norm products of a family through its _product_plan: one
+    in-place multiply per row position, so each entry's norms are multiplied
+    left to right over its rows; 1 where the product is 0."""
+    f = norms.take(factors)
+    (_, _, stop), *rest = bounds.tolist()
+    s = f[:stop]
+    for first, lo, hi in rest:
+        s[first:] *= f[lo:hi]
+    return np.where(s > 0.0, s, 1.0)
+
+
+def _minor_scale_plans(n):
+    """minor_scales' plans on an n x n matrix: the sums of the column sets of
+    fewer than PAIRWISE_TERMS columns, (m, t * n + i) the m-th column of set t
+    in row i (position n * n, a 0, past the set's end); the _product_plan
+    into the norms laid out t * n + i; and a (C, n, k) plan per wider order k."""
+    def build():
+        fams = [_rows(index_sets(n, k)) for k in range(1, n + 1)]
+        kp = min(n, PAIRWISE_TERMS - 1)
+        sets = np.concatenate([np.pad(J, ((0, 0), (0, kp - J.shape[1])), constant_values=-1) for J in fams[:kp]])
+        short = np.where(sets[:, None, :] < 0, n * n, n * np.arange(n)[:, None] + sets[:, None, :])
+        first = np.cumsum([0] + [len(J) for J in fams[:-1]])   # each order's first column set
+        products = _product_plan([n * (t + np.arange(len(J)))[:, None] + J[:, None, :]
+                                  for t, J in zip(first, fams)])   # [a, b, m]: row I_a[m] on set b
+        wide = [n * np.arange(n)[:, None] + J[:, None, :] for J in fams[kp:]]
+        return (short.transpose(2, 0, 1).reshape(kp, -1), *products, *wide)
+    return _plan(("minor_scales", n), build)
+
+
+def minor_scales(M):
+    """row_norm_scales(M, S, S) of every order's S, bit for bit, flat in minors'
+    order (each order's table raveled, the orders concatenated): a row norm
+    adds fewer than PAIRWISE_TERMS squared moduli in order, more as numpy's
+    contiguous reduce does."""
+    short, factors, bounds, *wide = _minor_scale_plans(len(M))
+    q = np.append((M.conj() * M).real, 0.0)   # the squared moduli row-major, then the padding 0
+    sums = np.add.reduce(q.take(short), axis=0)   # over the leading axis: in order
+    if wide:
+        sums = np.concatenate([sums, *(np.add.reduce(q.take(w), axis=-1).ravel() for w in wide)])
+    return _scales(np.sqrt(sums), factors, bounds)
+
+
+def left_scales(M):
+    """row_norm_scales(M, S, index_sets(k, k)) of every order k, bit for bit,
+    flat in left_minors' order: the norm of a row's first k entries is the
+    prefix sum of its squared moduli, in order below PAIRWISE_TERMS terms and
+    as numpy's contiguous reduce from there."""
+    n, q = len(M), (M.conj() * M).real
+    sums = np.cumsum(q, axis=1)
+    for k in range(PAIRWISE_TERMS, n + 1):
+        sums[:, k - 1] = np.add.reduce(np.ascontiguousarray(q[:, :k]), axis=1)
+    plan = _plan(("left_scales", n), lambda: _product_plan([n * _rows(index_sets(n, k)) + k - 1
+                                                            for k in range(1, n + 1)]))
+    return _scales(np.sqrt(sums), *plan)
 
 
 def minor(M, rows, cols):

@@ -3,10 +3,17 @@ totally nonnegative unitary representatives, Plucker positivity, eventual
 total positivity, and certified random samples.
 
 All testers return a Verdict with status "positive", "nonnegative", or
-"outside"; an outside verdict carries a witness minor or entry.
+"outside"; an outside verdict carries a witness minor or entry. A minor
+certificate (is_tp_matrix, is_tnn_unitary, is_plucker_nonneg) reads its
+family in one pass: one flat array of every order's minors, one of their
+scales, one verdict reduction (_verdict). Events keep the order a scan of the
+orders one by one would meet them in: an overflow raises, then a non-real
+minor is the witness, then (is_plucker_nonneg) a degenerate order raises; the
+witness is the first smallest scaled minor. A minor verdict also reports its
+margin (the least scaled minor it read), how many it read, and its path.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -17,6 +24,9 @@ from .errors import CertificationError, DomainError, LinalgError
 POSITIVE = "positive"
 NONNEGATIVE = "nonnegative"
 OUTSIDE = "outside"
+
+FEKETE = "fekete"           # positive from the consecutive-row minors alone
+EXHAUSTIVE = "exhaustive"   # a scan of every minor of the family
 
 MAX_EXHAUSTIVE_N = 8
 UNITARY_ATOL = 1e-8
@@ -35,6 +45,9 @@ class Verdict:
     witness: Optional[Witness]
     tol: float
     note: Optional[str] = None
+    margin: Optional[float] = field(default=None, compare=False)   # the least scaled minor checked
+    checked: Optional[int] = field(default=None, compare=False)    # how many minors the verdict read
+    path: Optional[str] = field(default=None, compare=False)       # FEKETE or EXHAUSTIVE
 
     @property
     def is_positive(self):
@@ -51,42 +64,63 @@ def _require_real(A, tol, scale, what):
     return A.real
 
 
-def _verdict(batches, tol, value, note=None, nonreal_note=None, allow_positive=True):
-    """Verdict from batches (rows, cols, minors, scale) of one order each. The
-    witness is the first smallest minor / scale, as a sequential `<` scan
-    finds it; a minor with |imag| > tol * scale is outside at once. The value a
-    witness reports is value(rows, cols), one _det of its submatrix in the
-    matrix as given (LU above order 3): the batches' minors are accurate to eps
-    times their scale, not to their value, and may be taken in a smaller field.
-    A non-finite minor or scale (overflow) raises: no verdict may rest on the
-    orders that did not overflow."""
-    worst, worst_w = np.inf, None
+def _verdict(vals, scale, families, tol, value, note=None, nonreal_note=None, allow_positive=True,
+             stop=None):
+    """Verdict from one flat array of minors and one of their scales, the
+    orders one after another, families holding each order's (rows, cols)
+    (its minors rows-major). The witness is the first smallest minor / scale,
+    the one a sequential `<` scan finds; a minor with |imag| > tol * scale is
+    outside at once. The value a witness reports is value(rows, cols), one
+    _det of its submatrix in the matrix as given (LU above order 3): the
+    minors are accurate to eps times their scale, not to their value, and may
+    be taken in a smaller field. A non-finite minor or scale (overflow)
+    raises, so the callers compute with numpy's overflow warnings off: no
+    verdict may rest on the orders that did not overflow. Events come in the
+    order a scan of the orders meets them: an overflow, then a non-real minor,
+    and with neither, stop (an exception) if given, in place of a verdict."""
+    def locate(i):   # (order position, rows, cols) of flat index i
+        for order, (rows, cols) in enumerate(families):
+            if i < len(rows) * len(cols):
+                a, b = divmod(i, len(cols))
+                return order, rows[a], cols[b]
+            i -= len(rows) * len(cols)
 
-    def witness(rows, cols, i):
-        a, b = divmod(i, len(cols))
-        return rows[a], cols[b], value(rows[a], cols[b])
-
-    with np.errstate(over="ignore", invalid="ignore"):   # overflow is reported below
-        for rows, cols, vals, scale in batches:
-            rel = vals.real / scale
-            if not np.isfinite(rel + scale).all():   # finite iff both are: |rel| <= 1 (Hadamard)
-                raise LinalgError(f"order-{len(rows[0])} minors overflow; rescale the input")
-            nonreal = np.abs(vals.imag) > tol * scale
-            if nonreal.any():
-                I, J, z = witness(rows, cols, int(np.argmax(nonreal)))
-                return Verdict(OUTSIDE, Witness(I, J, float(z.imag)), tol, note=nonreal_note)
-            i = int(np.argmin(rel))
-            if rel.flat[i] < worst:
-                worst, worst_w = rel.flat[i], (rows, cols, i)
+    rel = vals.real / scale
+    finite = np.isfinite(rel + scale)   # finite iff both are: |rel| <= 1 (Hadamard)
+    over = len(families) if finite.all() else locate(int(np.argmin(finite)))[0]
+    if np.iscomplexobj(vals):   # a real minor's imaginary part 0 never exceeds tol * scale > 0
+        nonreal = np.abs(vals.imag) > tol * scale
+        if nonreal.any():
+            i = int(np.argmax(nonreal))
+            order, I, J = locate(i)
+            if order < over:
+                return Verdict(OUTSIDE, Witness(I, J, float(value(I, J).imag)), tol, note=nonreal_note,
+                               margin=float(rel[:i + 1].min()), checked=i + 1, path=EXHAUSTIVE)
+    if over < len(families):
+        raise LinalgError(f"order-{len(families[over][0][0])} minors overflow; rescale the input")
+    if stop is not None:
+        raise stop
+    i = int(np.argmin(rel))
+    worst = float(rel[i])
     if allow_positive and worst > tol:
-        return Verdict(POSITIVE, None, tol, note=note)
-    I, J, z = witness(*worst_w)
-    return Verdict(NONNEGATIVE if worst > -tol else OUTSIDE, Witness(I, J, float(z.real)), tol, note=note)
+        return Verdict(POSITIVE, None, tol, note=note, margin=worst, checked=len(rel), path=EXHAUSTIVE)
+    _, I, J = locate(i)
+    return Verdict(NONNEGATIVE if worst > -tol else OUTSIDE, Witness(I, J, float(value(I, J).real)), tol,
+                   note=note, margin=worst, checked=len(rel), path=EXHAUSTIVE)
 
 
 def _left_sets(n, k):
     """All order-k row sets, and the first k columns as a family of one."""
     return linalg.index_sets(n, k), linalg.index_sets(k, k)
+
+
+def _fekete(n):
+    """Positions of the minors on consecutive rows in the flat left-justified
+    family of orders 1..n."""
+    def build():
+        rows = [linalg._rows(linalg.index_sets(n, k)) for k in range(1, n + 1)]
+        return np.flatnonzero(np.concatenate([r[:, -1] - r[:, 0] == r.shape[1] - 1 for r in rows]))
+    return linalg._plan(("fekete", n), build)
 
 
 def is_tp_matrix(M, tol=1e-9):
@@ -106,8 +140,10 @@ def is_tp_matrix(M, tol=1e-9):
     scale0 = max(1.0, float(np.abs(A).max()))
     R = _require_real(A, tol, scale0, "is_tp_matrix")
     sets = [linalg.index_sets(n, k) for k in range(1, n + 1)]
-    batches = ((S, S, vals, linalg.row_norm_scales(R, S, S)) for S, vals in zip(sets, linalg.minors(R)))
-    return _verdict(batches, tol, lambda I, J: linalg._minor(R, I, J))
+    with np.errstate(over="ignore", invalid="ignore"):   # _verdict reports overflow
+        vals = np.concatenate([table.ravel() for table in linalg.minors(R)])
+        return _verdict(vals, linalg.minor_scales(R), [(S, S) for S in sets], tol,
+                        lambda I, J: linalg._minor(R, I, J))
 
 
 def is_jacobi_cone(L, tol=1e-9):
@@ -153,21 +189,17 @@ def is_tnn_unitary(g, tol=1e-9):
     if n > MAX_EXHAUSTIVE_N:
         raise LinalgError(f"is_tnn_unitary: exhaustive minor test capped at n = {MAX_EXHAUSTIVE_N}")
     R = A if A.imag.any() else A.real
-    batches = []
-    for k, vals in enumerate(linalg.left_minors(R, n), 1):
-        rows, cols = _left_sets(n, k)
-        batches.append((rows, cols, vals[:, None], linalg.row_norm_scales(R, rows, cols)))
-    # Fekete fast path: consecutive-row minors positive => totally positive.
-    for rows, _, vals, s in batches:
-        r = linalg._rows(rows)
-        fekete = r[:, -1] - r[:, 0] == r.shape[1] - 1
-        vals, s = vals[fekete], s[fekete]
-        if np.any((np.abs(vals.imag) > tol * s) | (vals.real <= tol * s)):
-            break
-    else:
-        return Verdict(POSITIVE, None, tol)
-    return _verdict(batches, tol, lambda I, J: linalg._minor(A, I, J),
-                    nonreal_note="non-real minor", allow_positive=False)
+    vals, scale = np.concatenate(linalg.left_minors(R, n)), linalg.left_scales(R)
+    # Fekete: consecutive-row minors positive => totally positive.
+    fekete = _fekete(n)
+    fv, fs = vals.take(fekete), scale.take(fekete)
+    lim = tol * fs
+    if not ((fv.real <= lim).any() or np.iscomplexobj(fv) and (np.abs(fv.imag) > lim).any()):
+        return Verdict(POSITIVE, None, tol, margin=float((fv.real / fs).min()), checked=len(fv), path=FEKETE)
+    with np.errstate(over="ignore", invalid="ignore"):   # _verdict reports overflow
+        return _verdict(vals, scale, [_left_sets(n, k) for k in range(1, n + 1)], tol,
+                        lambda I, J: linalg._minor(A, I, J), nonreal_note="non-real minor",
+                        allow_positive=False)
 
 
 def is_plucker_nonneg(rep, K, tol=1e-9):
@@ -175,8 +207,8 @@ def is_plucker_nonneg(rep, K, tol=1e-9):
     of rep, for each order k in K.
 
     Coordinates of each order are normalized so the largest-modulus one is
-    positive real, all of one order computed in one batch, in float64 when rep
-    has no imaginary part. The phase is still that of the complex coordinate
+    positive real, all orders computed in one pass, in float64 when rep has
+    no imaginary part. The phase is still that of the complex coordinate
     (a numpy complex division, which can be 1 ulp off +-1), and a witness value
     is one _det of its submatrix of rep as given, divided by it. For
     consecutive K this coincides with Lusztig positivity; otherwise only the
@@ -188,26 +220,31 @@ def is_plucker_nonneg(rep, K, tol=1e-9):
     K = tuple(sorted(set(int(k) for k in K)))
     if not K or K[0] < 1 or K[-1] > n - 1:
         raise LinalgError(f"is_plucker_nonneg: K must be a nonempty subset of [1, {n - 1}]")
+    degenerate = DomainError("is_plucker_nonneg: degenerate representative")
     sv = np.linalg.svd(A, compute_uv=False)
     if sv[-1] <= linalg.RANK_RTOL * sv[0]:
-        raise DomainError("is_plucker_nonneg: degenerate representative")
+        raise degenerate
     consecutive = all(b - a == 1 for a, b in zip(K, K[1:]))
     note = ("consecutive K: Plucker positivity coincides with Lusztig positivity" if consecutive
             else "non-consecutive K: certifies Plucker positivity only")
-    phases = {}
-
-    def batches():
+    sizes = [len(linalg.index_sets(n, k)) for k in K]
+    with np.errstate(over="ignore", invalid="ignore"):   # _verdict reports overflow
         tables = linalg.left_minors(A if A.imag.any() else A.real, K[-1])
-        for k in K:
-            vals = tables[k - 1]
-            top = np.abs(vals).max()
-            if top <= 0.0:
-                raise DomainError("is_plucker_nonneg: degenerate representative")
-            phases[k] = linalg.unit_phases(vals.astype(complex))
-            yield *_left_sets(n, k), (vals / phases[k])[:, None], top
-
-    return _verdict(batches(), tol, lambda I, J: linalg._minor(A, I, J) / phases[len(I)], note=note,
-                    nonreal_note="non-real coordinate after phase normalization")
+        vals = np.concatenate([tables[k - 1] for k in K])
+        cols = np.zeros((max(sizes), len(K)), dtype=complex)   # column j: order K[j], then zeros
+        for j, k in enumerate(K):
+            cols[:sizes[j], j] = tables[k - 1]
+        tops = np.abs(cols).max(axis=0)
+        zero = tops <= 0.0
+        m = int(np.argmax(zero)) if zero.any() else len(K)   # the orders before a degenerate one
+        if m == 0:
+            raise degenerate
+        phases = linalg.unit_phases(cols[:, :m])   # one scalar division per order
+        return _verdict(vals[:sum(sizes[:m])] / phases.repeat(sizes[:m]), tops[:m].repeat(sizes[:m]),
+                        [_left_sets(n, k) for k in K[:m]], tol,
+                        lambda I, J: linalg._minor(A, I, J) / phases[K.index(len(I))], note=note,
+                        nonreal_note="non-real coordinate after phase normalization",
+                        stop=degenerate if m < len(K) else None)
 
 
 def is_eventually_tp(L, m_max, tol=1e-9):

@@ -472,6 +472,17 @@ def test_moser_x_normalized_without_overflow_or_underflow(x):
         assert res.stdout == ref.stdout
 
 
+@pytest.mark.parametrize("x", ["1e17,1,1", "1e300,1,1"])
+def test_singular_vandermonde_names_lam_and_x(x):
+    """x spread so wide that the Vandermonde matrix of lam and x is singular
+    (every entry still positive once normalized): one error line naming that
+    matrix, not the QR step, from both commands that build it."""
+    for argv in (["jacobi", "from-moser"], ["ampli", "build-Z", "--r", "2"]):
+        res = fresh_cli(*argv, "--lambda", "1,0,-1", "--x", x)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == ("error: the Vandermonde matrix of lam and x is singular to working precision\n"), res.stderr
+
+
 def test_moser_x_too_wide_to_normalize_exits_2():
     rc, out = run_cli(["jacobi", "from-moser", "--lambda", "1,0,-1", "--x", "1e150,1e150,1e-320"])
     assert rc == 2 and out == ""

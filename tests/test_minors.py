@@ -11,13 +11,14 @@ LU scan the package made before the recursion.
 """
 
 from itertools import combinations
+from math import comb
 
 import mpmath
 import numpy as np
 import pytest
 
-from orbitflow import ampli, flagorbit, linalg, perms, positivity
-from orbitflow.errors import DomainError
+from orbitflow import ampli, flagorbit, io, linalg, perms, positivity
+from orbitflow.errors import DomainError, LinalgError
 from orbitflow.positivity import NONNEGATIVE, OUTSIDE, POSITIVE, Verdict, Witness
 
 
@@ -274,6 +275,7 @@ def test_second_call_adds_no_plan():
 
         def every_family():
             tables = [t.copy() for t in linalg.minors(A)] + linalg.left_minors(A, n)
+            tables += [linalg.minor_scales(A), linalg.left_scales(A)]
             for k, S in enumerate(sets, 1):
                 tables += [linalg.row_norm_scales(A, S, S), linalg.row_norm_scales(A, S, linalg.index_sets(k, k))]
             return tables
@@ -505,12 +507,14 @@ def test_real_minor_tables_are_the_real_parts_of_the_complex_ones(n):
             sets, first = linalg.index_sets(n, k), linalg.index_sets(k, k)
             for cols in (sets, first):
                 assert same_bits(linalg.row_norm_scales(R, sets, cols), linalg.row_norm_scales(C, sets, cols))
+        assert same_bits(linalg.minor_scales(R), linalg.minor_scales(C))
+        assert same_bits(linalg.left_scales(R), linalg.left_scales(C))
 
 
 def forced_complex(monkeypatch, f, *args):
     """f(*args) with every minor table and row-norm scale taken on a complex copy."""
     with monkeypatch.context() as m:
-        for name in ("left_minors", "row_norm_scales"):
+        for name in ("left_minors", "row_norm_scales", "left_scales", "minor_scales"):
             m.setattr(linalg, name,
                       lambda M, *a, g=getattr(linalg, name): g(np.asarray(M, dtype=complex), *a))
         return f(*args)
@@ -574,3 +578,206 @@ def test_real_input_minors_take_no_complex_product(monkeypatch):
         assert positivity.is_tnn_unitary(Q).status == POSITIVE
         assert positivity.is_plucker_nonneg(Q, range(1, n)).status == POSITIVE
     assert seen and not any(seen)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_flat_scales_match_per_order_row_norm_scales(n):
+    """minor_scales and left_scales, every order in one flat array, against
+    row_norm_scales order by order, bit for bit: real and complex entries over
+    ten orders of magnitude (so the summation order shows), signed zeros and
+    zero rows (scale 1), and transposed views."""
+    rng = np.random.default_rng(29 * n)
+    inputs = []
+    for _ in range(4):
+        A = rng.normal(size=(n, n)) * rng.choice([1.0, 1e-5, 1e5], size=(n, n))
+        Z = A.copy()
+        Z[rng.random((n, n)) < 0.4] = -0.0
+        Z[rng.integers(n)] = 0.0
+        inputs += [A, A + 1j * rng.normal(size=(n, n)), Z, A.T, (A + 1j * A[::-1]).T]
+    for A in inputs:
+        sets = [linalg.index_sets(n, k) for k in range(1, n + 1)]
+        assert same_bits(linalg.minor_scales(A),
+                         np.concatenate([linalg.row_norm_scales(A, S, S).ravel() for S in sets]))
+        assert same_bits(linalg.left_scales(A),
+                         np.concatenate([linalg.row_norm_scales(A, S, linalg.index_sets(k, k)).ravel()
+                                         for k, S in enumerate(sets, 1)]))
+
+
+def ref_verdict(batches, tol, value, note=None, nonreal_note=None, allow_positive=True):
+    """The sequential scan over orders, one (rows, cols, minors, scale) batch
+    each, that positivity._verdict replaces: with the verdict, the least
+    scaled minor it saw."""
+    worst, worst_w = np.inf, None
+
+    def witness(rows, cols, i):
+        a, b = divmod(i, len(cols))
+        return rows[a], cols[b], value(rows[a], cols[b])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rows, cols, vals, scale in batches:
+            rel = vals.real / scale
+            if not np.isfinite(rel + scale).all():
+                raise LinalgError(f"order-{len(rows[0])} minors overflow; rescale the input")
+            nonreal = np.abs(vals.imag) > tol * scale
+            if nonreal.any():
+                I, J, z = witness(rows, cols, int(np.argmax(nonreal)))
+                return Verdict(OUTSIDE, Witness(I, J, float(z.imag)), tol, note=nonreal_note), worst
+            i = int(np.argmin(rel))
+            if rel.flat[i] < worst:
+                worst, worst_w = rel.flat[i], (rows, cols, i)
+    if allow_positive and worst > tol:
+        return Verdict(POSITIVE, None, tol, note=note), worst
+    I, J, z = witness(*worst_w)
+    return Verdict(NONNEGATIVE if worst > -tol else OUTSIDE, Witness(I, J, float(z.real)), tol, note=note), worst
+
+
+def flat_verdict(batches, tol, value, stop=None, **kw):
+    """positivity._verdict on the batches laid flat, order after order."""
+    batches = list(batches)
+    vals = np.concatenate([np.ravel(v) for _, _, v, _ in batches]) if batches else np.zeros(0)
+    scale = np.concatenate([np.ravel(s) for _, _, _, s in batches]) if batches else np.zeros(0)
+    return positivity._verdict(vals, scale, [(r, c) for r, c, _, _ in batches], tol, value, stop=stop, **kw)
+
+
+def outcome(f, *args, **kw):
+    """f's verdict (with its margin), or the type and message of what it raised."""
+    try:
+        v = f(*args, **kw)
+    except (LinalgError, DomainError) as e:
+        return type(e), str(e)
+    return v if isinstance(v, tuple) else (v, v.margin)
+
+
+def full_batches(R):
+    sets = [linalg.index_sets(R.shape[0], k) for k in range(1, R.shape[0] + 1)]
+    return [(S, S, vals, linalg.row_norm_scales(R, S, S)) for S, vals in zip(sets, linalg.minors(R))]
+
+
+def left_batches(g, orders):
+    n = g.shape[0]
+    tables = linalg.left_minors(g, n)
+    return [(linalg.index_sets(n, k), linalg.index_sets(k, k), tables[k - 1][:, None],
+             linalg.row_norm_scales(g, linalg.index_sets(n, k), linalg.index_sets(k, k))) for k in orders]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_flat_verdict_matches_sequential_scan(n):
+    """One argmin over every order equals the scan's first strict minimum:
+    ties across orders (the identity, signed permutations, integer entries),
+    a zero row (scale 1), n = 1. The flat verdict reads its margin off the
+    same minimum, and an exhaustive scan checks all C(2n, n) - 1 minors."""
+    rng = np.random.default_rng(31 * n)
+    Z = tp_product(rng, n)
+    Z[n // 2] = 0.0
+    for R in matrix_inputs(n) + [Z, -np.eye(n)]:
+        value = lambda I, J, R=R: linalg._minor(R, I, J)
+        ref, worst = ref_verdict(full_batches(R), 1e-9, value)
+        v = flat_verdict(full_batches(R), 1e-9, value)
+        assert exact(v) == exact(ref) and v.margin == worst
+        assert v.checked == comb(2 * n, n) - 1 and v.path == positivity.EXHAUSTIVE
+        w = positivity.is_tp_matrix(R)
+        assert exact(w) == exact(ref) and w.margin == worst and w.checked == comb(2 * n, n) - 1
+    H = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for g in [np.eye(n), signed_perm_matrix(rng, n), q_factor(rng.normal(size=(n, n))), np.linalg.qr(H)[0]]:
+        value = lambda I, J, g=g: linalg._minor(g.astype(complex), I, J)
+        kw = dict(nonreal_note="non-real minor", allow_positive=False)
+        batches = left_batches(g, range(1, n + 1))
+        assert outcome(flat_verdict, batches, 1e-9, value, **kw)[0] == ref_verdict(batches, 1e-9, value, **kw)[0]
+
+
+def synthetic(n, events):
+    """Left-justified batches of orders 1..n of a real orthogonal matrix, with
+    events planted: {order: "nonreal" | "inf" | "nan" | "both"}, each at the
+    order's last minor ("both": a non-real last minor, an infinite first scale)."""
+    g = q_factor(tp_product(np.random.default_rng(n), n))
+    out = []
+    for rows, cols, vals, scale in left_batches(g, range(1, n + 1)):
+        vals, scale = vals.astype(complex), scale.copy()
+        k = len(rows[0])
+        if events.get(k) in ("nonreal", "both"):
+            vals[-1, 0] += 1e-3j
+        if events.get(k) == "both":
+            scale[0] = np.inf
+        elif events.get(k) == "inf":
+            scale[-1] = np.inf
+        elif events.get(k) == "nan":
+            vals[-1, 0] = np.nan
+        out.append((rows, cols, vals, scale))
+    return g, out
+
+
+@pytest.mark.parametrize("events", [
+    {2: "nonreal", 3: "inf"}, {2: "inf", 3: "nonreal"}, {2: "nonreal", 3: "nan"},
+    {3: "nonreal"}, {1: "nan"}, {2: "nonreal"}, {4: "inf", 2: "nonreal"}, {3: "both"}, {}])
+def test_flat_verdict_keeps_the_order_of_events(events):
+    """Order by order, as the scan meets them: a non-real minor before an
+    overflow is the witness, an overflow before (or in the same order as) a
+    non-real minor raises. A verdict's margin is the least scaled minor of
+    the `checked` it read, up to and with a non-real witness."""
+    for n in (4, 5):
+        g, batches = synthetic(n, events)
+        value = lambda I, J: linalg._minor(g.astype(complex), I, J)
+        rel = np.concatenate([(v.real / s).ravel() for _, _, v, s in batches])
+        for kw in (dict(nonreal_note="non-real", allow_positive=False), {}):
+            ref = outcome(ref_verdict, batches, 1e-9, value, **kw)
+            got = outcome(flat_verdict, batches, 1e-9, value, **kw)
+            assert (exact(got[0]) if isinstance(got[0], Verdict) else got) == (
+                exact(ref[0]) if isinstance(ref[0], Verdict) else ref)
+            if isinstance(got[0], Verdict):
+                assert got[0].margin == rel[:got[0].checked].min()
+        if events.get(2) == "nonreal" and events.get(3) in ("inf", "nan"):
+            assert got[0].witness.rows == linalg.index_sets(n, 2)[-1]
+        if events.get(2) == "inf" or events.get(3) == "both":
+            assert got == (LinalgError, f"order-{min(events)} minors overflow; rescale the input")
+
+
+@pytest.mark.parametrize("K, stop_at", [((1, 2, 3), 2), ((1, 3), 3), ((2, 3), 2), ((1, 2, 3), 1)])
+@pytest.mark.parametrize("planted", [{}, {1: "nonreal"}, {1: "inf"}, {2: "nonreal"}])
+def test_degenerate_order_stops_after_earlier_events(K, stop_at, planted):
+    """is_plucker_nonneg's degenerate order raises in the place the scan
+    reached it: after the events of the orders of K before it, and before
+    its own; non-consecutive K included."""
+    g, batches = synthetic(4, planted)
+    value = lambda I, J: linalg._minor(g.astype(complex), I, J)
+    before = [b for b in batches if len(b[0][0]) in K and len(b[0][0]) < stop_at]
+    stop = DomainError("degenerate")
+
+    def scan():
+        yield from before
+        raise stop
+
+    ref = outcome(ref_verdict, scan(), 1e-9, value)
+    got = outcome(flat_verdict, before, 1e-9, value, stop=stop)
+    assert (exact(got[0]) if isinstance(got[0], Verdict) else got) == (
+        exact(ref[0]) if isinstance(ref[0], Verdict) else ref)
+
+
+def test_plucker_degenerate_order_after_a_non_real_one():
+    """A representative scaled to 1e-200: its order-2 coordinates underflow
+    to 0 (a degenerate order) while order 1 is intact. A non-real order-1
+    coordinate is the witness; with real ones, or with order 1 left out of K,
+    the degenerate order raises."""
+    rng = np.random.default_rng(37)
+    U = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0] * 1e-200
+    v = positivity.is_plucker_nonneg(U, (1, 2))
+    assert v.status == OUTSIDE and v.note == "non-real coordinate after phase normalization"
+    assert v.witness.cols == (1,) and v.checked <= 3
+    for rep, K in ((U, (2,)), (q_factor(tp_product(rng, 3)) * 1e-200, (1, 2))):
+        with pytest.raises(DomainError, match="degenerate representative"):
+            positivity.is_plucker_nonneg(rep, K)
+
+
+def test_fekete_verdicts_report_their_path():
+    """A positive is_tnn_unitary verdict comes from the n(n+1)/2 minors on
+    consecutive rows; any other from the exhaustive scan. The new fields
+    stay out of the JSON and out of ==."""
+    rng = np.random.default_rng(41)
+    for n in range(1, 9):
+        Q = q_factor(tp_product(rng, n))
+        v = positivity.is_tnn_unitary(Q)
+        assert v.status == POSITIVE and v.path == positivity.FEKETE and v.checked == n * (n + 1) // 2
+        assert v.margin > 1e-9
+        w = positivity.is_tnn_unitary(signed_perm_matrix(rng, n) if n > 1 else -np.eye(1))
+        assert w.path == positivity.EXHAUSTIVE and w.checked == 2 ** n - 1 and w.margin <= 0.0
+        assert Verdict(v.status, v.witness, v.tol, v.note) == v
+        assert set(io.verdict_to_json(v)) == {"status", "tol"}
